@@ -13,9 +13,8 @@ Real thermal_noise_dbm(Real bandwidth_hz, Real noise_figure_db) {
 CVec add_noise_variance(const CVec& x, Real noise_variance,
                         itb::dsp::Xoshiro256& rng) {
   CVec out(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    out[i] = x[i] + rng.complex_gaussian(noise_variance);
-  }
+  itb::dsp::fill_complex_gaussian(out, noise_variance, rng);
+  for (std::size_t i = 0; i < x.size(); ++i) out[i] = x[i] + out[i];
   return out;
 }
 

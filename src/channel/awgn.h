@@ -36,6 +36,8 @@ class FrequencyOffset {
 };
 
 /// Adds complex AWGN of the given total noise power (variance) to samples.
+/// Zero variance returns the samples unchanged; a negative, NaN or infinite
+/// variance throws std::invalid_argument.
 CVec add_noise_variance(const CVec& x, Real noise_variance,
                         itb::dsp::Xoshiro256& rng);
 

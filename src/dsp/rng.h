@@ -1,15 +1,76 @@
 // Deterministic pseudo-random number generation for reproducible experiments.
 //
-// Every bench and test seeds its own Xoshiro256** instance, so runs are
-// bit-identical across machines; no global RNG state exists anywhere in the
-// library.
+// Every bench and test seeds its own Xoshiro256** instance; no global RNG
+// state exists anywhere in the library. The integer stream is the same on
+// every platform. The Gaussian stream is too: gaussian() is a ziggurat whose
+// tables are checked-in constants and whose slow paths use the in-repo
+// det_exp/det_log below, so no draw depends on the platform's libm. Code
+// that transforms the draws with libm (CFO rotation, phase noise, ...) is
+// outside that promise; DESIGN.md "Gaussian sampler" lists those sites.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
+#include <optional>
+#include <span>
 
 #include "dsp/types.h"
+#include "dsp/ziggurat_tables.h"
 
 namespace itb::dsp {
+
+class Xoshiro256;
+
+namespace detail {
+
+// Libm-free elementary functions, built from IEEE-754 basic operations and
+// exact power-of-two scaling only. They live in rng.cpp, which is compiled
+// with -ffp-contract=off, so every platform rounds them identically.
+
+/// e^x for results in the normal range (x in [-708, 709]); 0 below it,
+/// +inf above it, NaN for NaN. Within 1 ulp of a correctly rounded exp.
+Real det_exp(Real x);
+/// Natural log for x > 0 (subnormals included); -inf at 0, NaN below 0.
+/// Within 1 ulp of a correctly rounded log.
+Real det_log(Real x);
+/// Square root for finite x >= 0, by Newton's iteration; within 1 ulp.
+Real det_sqrt(Real x);
+
+/// Ziggurat layer of a raw 64-bit draw: its low 8 bits.
+inline unsigned zig_layer(std::uint64_t b) {
+  return static_cast<unsigned>(b & 0xFF);
+}
+
+/// Signed uniform of a raw draw: its top 53 bits as a two's-complement
+/// integer times 2^-52, exactly, in [-1, 1).
+inline Real zig_uniform(std::uint64_t b) {
+  return static_cast<Real>(static_cast<std::int64_t>(b) >> 11) * 0x1p-52;
+}
+
+/// Wedge test for a draw `b` that missed the fast path in a layer other
+/// than 0: `w` supplies the uniform height. Returns the variate on
+/// acceptance, nullopt when the caller must start over with a new draw.
+std::optional<Real> ziggurat_wedge(std::uint64_t b, std::uint64_t w);
+
+/// One tail trial (Marsaglia's method) for a layer-0 draw `b` that missed
+/// the fast path: `w1` and `w2` supply two uniforms in (0, 1]. Returns
+/// +-(R + a) with the sign of b on acceptance, nullopt to retry with two
+/// new words and the same `b`.
+std::optional<Real> ziggurat_tail(std::uint64_t b, std::uint64_t w1,
+                                  std::uint64_t w2);
+
+/// Resolves a draw that missed the fast path (about 1.5% of draws),
+/// pulling further words from `rng` as the wedge and tail need them.
+Real gaussian_slow(std::uint64_t b, Xoshiro256& rng);
+
+}  // namespace detail
+
+/// Fills `out` with circularly-symmetric complex Gaussian samples of total
+/// variance `variance` (variance/2 per real dimension; the real part draws
+/// first). The square root is taken once per call. Throws
+/// std::invalid_argument when `variance` is negative, NaN or infinite.
+void fill_complex_gaussian(std::span<Complex> out, Real variance,
+                           Xoshiro256& rng);
 
 /// One SplitMix64 step (Steele/Lea/Flood): advances the input by the
 /// golden-ratio increment and mixes. The single shared definition behind
@@ -64,26 +125,24 @@ class Xoshiro256 {
   /// Single random bit.
   bool bit() { return (next_u64() >> 63) != 0; }
 
-  /// Standard normal variate (Box–Muller; one value per call, cached pair).
+  /// Standard normal variate: a 256-layer Marsaglia-Tsang ziggurat. One
+  /// next_u64() per draw on the fast path (the low 8 bits pick the layer,
+  /// the top 53 bits the signed uniform); accepting costs one compare and
+  /// one multiply. The wedge and tail go to detail::gaussian_slow.
   Real gaussian() {
-    if (have_spare_) {
-      have_spare_ = false;
-      return spare_;
-    }
-    Real u1 = uniform();
-    while (u1 <= 1e-300) u1 = uniform();
-    const Real u2 = uniform();
-    const Real mag = std::sqrt(-2.0 * std::log(u1));
-    spare_ = mag * std::sin(kTwoPi * u2);
-    have_spare_ = true;
-    return mag * std::cos(kTwoPi * u2);
+    const std::uint64_t b = next_u64();
+    const unsigned i = detail::zig_layer(b);
+    const Real u = detail::zig_uniform(b);
+    if (std::abs(u) < detail::kZigR[i]) return u * detail::kZigX[i];
+    return detail::gaussian_slow(b, *this);
   }
 
-  /// Circularly-symmetric complex Gaussian with total variance `variance`
-  /// (variance/2 per real dimension).
+  /// One circularly-symmetric complex Gaussian of total variance `variance`:
+  /// the one-sample form of fill_complex_gaussian().
   Complex complex_gaussian(Real variance) {
-    const Real s = std::sqrt(variance / 2.0);
-    return {s * gaussian(), s * gaussian()};
+    Complex c;
+    fill_complex_gaussian(std::span<Complex>(&c, 1), variance, *this);
+    return c;
   }
 
  private:
@@ -92,8 +151,6 @@ class Xoshiro256 {
   }
 
   std::uint64_t state_[4]{};
-  bool have_spare_ = false;
-  Real spare_ = 0.0;
 };
 
 }  // namespace itb::dsp

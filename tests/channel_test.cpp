@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <limits>
+#include <stdexcept>
 
 #include "channel/antenna.h"
 #include "channel/awgn.h"
@@ -81,6 +82,27 @@ TEST(Awgn, SnrTargetAchieved) {
   const Real measured_snr =
       10.0 * std::log10(1.0 / (noise_acc / static_cast<Real>(x.size())));
   EXPECT_NEAR(measured_snr, 10.0, 0.3);
+}
+
+TEST(Awgn, InvalidNoiseVarianceThrows) {
+  // Regression: a negative or NaN variance used to turn every sample into
+  // NaN without complaint.
+  itb::dsp::Xoshiro256 rng(10);
+  const itb::dsp::CVec x = itb::dsp::tone(0.0, 1e6, 64);
+  EXPECT_THROW(add_noise_variance(x, -1e-3, rng), std::invalid_argument);
+  EXPECT_THROW(add_noise_variance(x, std::numeric_limits<Real>::quiet_NaN(),
+                                  rng),
+               std::invalid_argument);
+  EXPECT_THROW(add_noise_snr(x, std::numeric_limits<Real>::quiet_NaN(), rng),
+               std::invalid_argument);
+}
+
+TEST(Awgn, ZeroNoiseVarianceReturnsInput) {
+  itb::dsp::Xoshiro256 rng(11);
+  const itb::dsp::CVec x = itb::dsp::tone(0.1, 1e6, 64);
+  const itb::dsp::CVec y = add_noise_variance(x, 0.0, rng);
+  ASSERT_EQ(y.size(), x.size());
+  for (std::size_t i = 0; i < x.size(); ++i) EXPECT_EQ(y[i], x[i]) << i;
 }
 
 TEST(Awgn, CfoRotatesSpectrum) {

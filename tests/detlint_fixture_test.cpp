@@ -137,4 +137,18 @@ TEST(DetlintFixtures, ObsPathsAreExemptFromWallClock) {
   EXPECT_EQ(detlint::lint_source("src/sim/obs_like.cpp", src).size(), 1u);
 }
 
+TEST(DetlintFixtures, LibmRngIsScopedToTheSampler) {
+  // The rule covers src/dsp/rng* and src/dsp/ziggurat*, nothing else: not
+  // other src/dsp/ files and not subdirectories or look-alike paths.
+  const std::string src = "double f(double x) { return std::exp(x); }\n";
+  EXPECT_EQ(detlint::lint_source("src/dsp/rng.h", src).size(), 1u);
+  EXPECT_EQ(detlint::lint_source("src/dsp/rng.cpp", src).size(), 1u);
+  EXPECT_EQ(detlint::lint_source("checkout/src/dsp/ziggurat_tables.h", src)
+                .size(),
+            1u);
+  EXPECT_TRUE(detlint::lint_source("src/dsp/fir.cpp", src).empty());
+  EXPECT_TRUE(detlint::lint_source("src/dsp/simd/rng.cpp", src).empty());
+  EXPECT_TRUE(detlint::lint_source("src/channel/rng.cpp", src).empty());
+}
+
 }  // namespace

@@ -1,6 +1,6 @@
 // detlint implementation: a hand-rolled C++ lexer (comments, string/char
 // literals, raw strings, identifiers, maximal-munch punctuation) followed by
-// six token-stream rules. Deliberately dependency-free and conservative:
+// seven token-stream rules. Deliberately dependency-free and conservative:
 // every heuristic is tuned so that `detlint src/` runs clean on a compliant
 // tree and each rule fires on the minimal bad fixture in tests/detlint/.
 #include "detlint.h"
@@ -233,6 +233,7 @@ struct Ctx {
   bool in_bench = false;
   bool in_obs = false;
   bool in_simd = false;
+  bool in_rng = false;
 
   void report(std::size_t tok_index, const std::string& rule,
               const std::string& message) {
@@ -809,6 +810,49 @@ void rule_simd_intrinsics(Ctx& ctx) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Rule: libm-rng
+// ---------------------------------------------------------------------------
+
+/// The Gaussian sampler (src/dsp/rng*, src/dsp/ziggurat*) promises
+/// the same stream on every platform. libm's transcendentals are not
+/// required to be correctly rounded, so a call to one there would make the
+/// stream depend on the libm implementation; the sampler uses the in-repo
+/// det_exp / det_log / det_sqrt instead.
+void rule_libm_rng(Ctx& ctx) {
+  if (!ctx.in_rng) return;
+  const Tokens& t = *ctx.tokens;
+  static const std::set<std::string> kLibm = {
+      "sqrt", "cbrt", "hypot", "exp", "exp2",  "expm1", "log",  "log2",
+      "log10", "log1p", "pow", "sin", "cos",   "tan",   "asin", "acos",
+      "atan", "atan2", "sinh", "cosh", "tanh", "erf",   "erfc", "sincos"};
+  auto is_libm = [&](const std::string& s) {
+    if (kLibm.count(s)) return true;
+    // float / long double variants: expf, logl, ...
+    const char last = s.empty() ? '\0' : s.back();
+    return (last == 'f' || last == 'l') &&
+           kLibm.count(s.substr(0, s.size() - 1));
+  };
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    if (t[i].kind != Kind::kIdent || !is_libm(t[i].text)) continue;
+    if (!is(t, i + 1, "(")) continue;
+    if (i > 0 && (t[i - 1].text == "." || t[i - 1].text == "->")) continue;
+    // A declarator (`Decimal exp() const`) follows a type name; a call
+    // follows an operator, `::`, `(` or a statement keyword.
+    static const std::set<std::string> kStmtKeywords = {
+        "return", "co_return", "co_yield", "case", "else", "throw"};
+    if (i > 0 && ((t[i - 1].kind == Kind::kIdent &&
+                   !kStmtKeywords.count(t[i - 1].text)) ||
+                  t[i - 1].text == ">"))
+      continue;
+    ctx.report(i, "libm-rng",
+               "libm call `" + t[i].text +
+                   "` in the Gaussian sampler; libm is not correctly "
+                   "rounded on every platform, so use detail::det_exp / "
+                   "det_log / det_sqrt to keep the stream libm-independent");
+  }
+}
+
 bool path_in_bench(const std::string& path) {
   return path.find("/bench/") != std::string::npos ||
          path.rfind("bench/", 0) == 0;
@@ -822,12 +866,22 @@ bool path_in_simd(const std::string& path) {
   return path.find("src/dsp/simd/") != std::string::npos;
 }
 
+/// src/dsp/rng* and src/dsp/ziggurat* (files directly in src/dsp/).
+bool path_in_rng(const std::string& path) {
+  const std::string dir = "src/dsp/";
+  const std::size_t pos = path.rfind(dir);
+  if (pos == std::string::npos) return false;
+  const std::string name = path.substr(pos + dir.size());
+  if (name.find('/') != std::string::npos) return false;
+  return name.rfind("rng", 0) == 0 || name.rfind("ziggurat", 0) == 0;
+}
+
 }  // namespace
 
 const std::vector<std::string>& rule_ids() {
   static const std::vector<std::string> kIds = {
       "wall-clock", "rng-seed", "unordered-iter", "ptr-order",
-      "parallel-capture", "simd-intrinsics"};
+      "parallel-capture", "simd-intrinsics", "libm-rng"};
   return kIds;
 }
 
@@ -843,12 +897,14 @@ std::vector<Finding> lint_source(const std::string& path,
   ctx.in_bench = path_in_bench(path);
   ctx.in_obs = path_in_obs(path);
   ctx.in_simd = path_in_simd(path);
+  ctx.in_rng = path_in_rng(path);
   rule_wall_clock(ctx);
   rule_rng_seed(ctx);
   rule_unordered_iter(ctx);
   rule_ptr_order(ctx);
   rule_parallel_capture(ctx);
   rule_simd_intrinsics(ctx);
+  rule_libm_rng(ctx);
   std::sort(findings.begin(), findings.end(),
             [](const Finding& a, const Finding& b) {
               if (a.line != b.line) return a.line < b.line;

@@ -15,6 +15,9 @@
 //   simd-intrinsics  raw vector intrinsics (x86 _mm*/__m*, NEON v*q_*)
 //                    outside src/dsp/simd/ — kernels must ship behind the
 //                    dispatch table with a scalar reference and parity test
+//   libm-rng         libm elementary functions (exp, log, sqrt, sin, ...)
+//                    inside the Gaussian sampler (src/dsp/rng*,
+//                    src/dsp/ziggurat*), whose stream must not depend on libm
 #pragma once
 
 #include <string>
