@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "core/arena.h"
 #include "dsp/rng.h"
-#include "dsp/simd/kernels.h"
 #include "dsp/units.h"
 #include "obs/prof.h"
 
@@ -60,7 +60,20 @@ std::uint64_t impairment_substream(std::uint64_t seed, std::uint64_t stream,
   return splitmix64(seed ^ splitmix64((stage << 48) ^ stream));
 }
 
-ImpairmentChain::ImpairmentChain(const ImpairmentConfig& cfg) : cfg_(cfg) {}
+ImpairmentChain::ImpairmentChain(const ImpairmentConfig& cfg) : cfg_(cfg) {
+  // Negated comparisons so NaN fails them too.
+  if (!(cfg.sample_rate_hz > 0.0) || !std::isfinite(cfg.sample_rate_hz)) {
+    throw std::invalid_argument(
+        "ImpairmentChain: sample_rate_hz must be finite and positive");
+  }
+  if (!(std::abs(cfg.sro_ppm) <= kMaxSroPpm)) {
+    throw std::invalid_argument(
+        "ImpairmentChain: |sro_ppm| must be at most 1e5");
+  }
+  if (cfg.adc_bits > kMaxAdcBits) {
+    throw std::invalid_argument("ImpairmentChain: adc_bits must be at most 53");
+  }
+}
 
 CVec ImpairmentChain::apply_channel(const CVec& x, std::uint64_t seed,
                                     std::uint64_t stream) const {
@@ -81,12 +94,23 @@ CVec ImpairmentChain::apply_channel(const CVec& x, std::uint64_t seed,
     std::span<Complex> taps = scratch.arena().alloc_span<Complex>(ntaps);
     draw_taps(*cfg_.multipath, cfg_.sample_rate_hz, rng, scratch.arena(),
               taps);
-    // Causal convolution with ramp-in, vectorized across output samples
-    // (per-output tap order k ascending, identical to the scalar loop).
-    std::span<Complex> conv =
-        scratch.arena().alloc_span_zeroed<Complex>(y.size());
-    itb::dsp::simd::active_kernels().fir_causal_complex(
-        y.data(), y.size(), taps.data(), taps.size(), conv.data());
+    // Causal convolution with ramp-in: conv[i] = sum_{k <= min(ntaps-1, i)}
+    // taps[k] * y[i - k], k ascending, in explicit real arithmetic.
+    std::span<Complex> conv = scratch.arena().alloc_span<Complex>(y.size());
+    for (std::size_t i = 0; i < y.size(); ++i) {
+      const std::size_t kmax = std::min(ntaps, i + 1);
+      Real ar = 0.0;
+      Real ai = 0.0;
+      for (std::size_t k = 0; k < kmax; ++k) {
+        const Real tr = taps[k].real();
+        const Real ti = taps[k].imag();
+        const Real xr = y[i - k].real();
+        const Real xi = y[i - k].imag();
+        ar += tr * xr - ti * xi;
+        ai += tr * xi + ti * xr;
+      }
+      conv[i] = Complex(ar, ai);
+    }
     std::copy(conv.begin(), conv.end(), y.begin());
   }
 
@@ -150,8 +174,18 @@ CVec ImpairmentChain::apply_channel(const CVec& x, std::uint64_t seed,
     const Complex e{std::cos(phi), std::sin(phi)};
     const Complex alpha = (1.0 + g * e) / 2.0;
     const Complex beta = (1.0 - g * std::conj(e)) / 2.0;
-    itb::dsp::simd::active_kernels().iq_imbalance(y.data(), alpha, beta,
-                                                  y.size());
+    // t1 = alpha * v and t2 = beta * conj(v), each by the std::complex
+    // finite-math formula; v' = t1 + t2.
+    for (Complex& v : y) {
+      const Real vr = v.real();
+      const Real vi = v.imag();
+      const Real nvi = -vi;
+      const Real t1r = alpha.real() * vr - alpha.imag() * vi;
+      const Real t1i = alpha.real() * vi + alpha.imag() * vr;
+      const Real t2r = beta.real() * vr - beta.imag() * nvi;
+      const Real t2i = beta.real() * nvi + beta.imag() * vr;
+      v = Complex(t1r + t2r, t1i + t2i);
+    }
   }
 
   return y;
@@ -166,11 +200,16 @@ CVec ImpairmentChain::apply_frontend(const CVec& x) const {
   const Real full_scale = rms * itb::dsp::db_to_amplitude(cfg_.adc_headroom_db);
   const Real levels = std::pow(2.0, static_cast<Real>(cfg_.adc_bits - 1));
   const Real step = full_scale / levels;
-  // Mid-rise quantizer, vectorized per double: clamp to
-  // [-full_scale, full_scale - step] then (floor(v/step) + 0.5) * step.
+  // Mid-rise quantizer on each rail: clamp to [-full_scale,
+  // full_scale - step] then (floor(v/step) + 0.5) * step.
   CVec y = x;
-  itb::dsp::simd::active_kernels().quantize_midrise(y.data(), full_scale, step,
-                                                    y.size());
+  Real* const d = reinterpret_cast<Real*>(y.data());
+  const Real lo = -full_scale;
+  const Real hi = full_scale - step;
+  for (std::size_t i = 0; i < 2 * y.size(); ++i) {
+    const Real c = std::min(std::max(d[i], lo), hi);
+    d[i] = (std::floor(c / step) + 0.5) * step;
+  }
   return y;
 }
 

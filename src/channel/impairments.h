@@ -74,6 +74,17 @@ std::uint64_t impairment_substream(std::uint64_t seed, std::uint64_t stream,
 /// pair alone, never from previous calls.
 class ImpairmentChain {
  public:
+  /// Largest accepted |sro_ppm| (10% clock error, far beyond any crystal).
+  /// It keeps the resampler ratio 1 + sro*1e-6 in [0.9, 1.1], so the
+  /// resampled frame stays within ~1.1x its input length.
+  static constexpr Real kMaxSroPpm = 1e5;
+  /// Largest accepted adc_bits: up to 2^52 levels, floor(v/step) + 0.5 is
+  /// still exact in a double.
+  static constexpr unsigned kMaxAdcBits = 53;
+
+  /// Throws std::invalid_argument unless sample_rate_hz is finite and
+  /// positive, sro_ppm is finite with |sro_ppm| <= kMaxSroPpm, and
+  /// adc_bits <= kMaxAdcBits.
   explicit ImpairmentChain(const ImpairmentConfig& cfg);
 
   /// The full chain: channel stages then the ADC front end.

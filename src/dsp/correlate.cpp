@@ -8,7 +8,6 @@
 
 #include "dsp/fir.h"
 #include "dsp/ola.h"
-#include "dsp/simd/kernels.h"
 #include "obs/prof.h"
 
 namespace itb::dsp {
@@ -26,20 +25,38 @@ CVec cross_correlate_direct(std::span<const Complex> x,
       break;
     }
   }
-  const simd::KernelTable& kern = simd::active_kernels();
+  // One accumulator per output lag, k ascending.
+  const std::size_t np = pattern.size();
   if (real_pattern) {
     thread_local std::vector<Real> preal;
-    preal.resize(pattern.size());
-    for (std::size_t k = 0; k < pattern.size(); ++k) preal[k] = pattern[k].real();
-    kern.correlate_real(x.data(), x.size(), preal.data(), pattern.size(),
-                        out.data());
+    preal.resize(np);
+    for (std::size_t k = 0; k < np; ++k) preal[k] = pattern[k].real();
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      Real ar = 0.0;
+      Real ai = 0.0;
+      for (std::size_t k = 0; k < np; ++k) {
+        ar += x[i + k].real() * preal[k];
+        ai += x[i + k].imag() * preal[k];
+      }
+      out[i] = Complex(ar, ai);
+    }
     return out;
   }
   // x * conj(p) with explicit real arithmetic (finite operands, so the
-  // std::complex inf/NaN multiply fixup is dead weight); vectorized across
-  // output lags with per-lag accumulation order unchanged.
-  kern.correlate_conj(x.data(), x.size(), pattern.data(), pattern.size(),
-                      out.data());
+  // std::complex inf/NaN multiply fixup is dead weight).
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    Real ar = 0.0;
+    Real ai = 0.0;
+    for (std::size_t k = 0; k < np; ++k) {
+      const Real xr = x[i + k].real();
+      const Real xi = x[i + k].imag();
+      const Real pr = pattern[k].real();
+      const Real pi = pattern[k].imag();
+      ar += xr * pr + xi * pi;
+      ai += xi * pr - xr * pi;
+    }
+    out[i] = Complex(ar, ai);
+  }
   return out;
 }
 
@@ -57,6 +74,20 @@ CVec cross_correlate_fft(std::span<const Complex> x,
   const CVec full = overlap_save_convolve(x, kernel);
   return CVec(full.begin() + static_cast<std::ptrdiff_t>(np - 1),
               full.begin() + static_cast<std::ptrdiff_t>(np - 1 + x.size() - np + 1));
+}
+
+void accumulate_scaled_conj(std::span<Complex> acc,
+                            std::span<const Complex> p, Complex s) {
+  assert(acc.size() == p.size());
+  const Real sr = s.real();
+  const Real si = s.imag();
+  for (std::size_t j = 0; j < acc.size(); ++j) {
+    const Real pr = p[j].real();
+    const Real npi = -p[j].imag();
+    // s * (pr, npi): re = sr*pr - si*npi, im = sr*npi + si*pr.
+    acc[j] = Complex(acc[j].real() + (sr * pr - si * npi),
+                     acc[j].imag() + (sr * npi + si * pr));
+  }
 }
 
 bool correlate_prefers_fft(std::size_t signal_len, std::size_t pattern_len) {

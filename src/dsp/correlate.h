@@ -25,6 +25,14 @@ CVec cross_correlate_direct(std::span<const Complex> x,
 CVec cross_correlate_fft(std::span<const Complex> x,
                          std::span<const Complex> pattern);
 
+/// One chip step of a correlator bank: acc[j] += s * conj(p[j]) for every
+/// candidate j (acc.size() == p.size()), with exactly the std::complex
+/// product s * conj(p). Banks built chip-major (the CCK codeword search,
+/// ZigBee soft despreading) call this once per received chip s, so each
+/// candidate's correlation still accumulates its chips in ascending order.
+void accumulate_scaled_conj(std::span<Complex> acc,
+                            std::span<const Complex> p, Complex s);
+
 /// True when the auto path would go spectral for these sizes.
 bool correlate_prefers_fft(std::size_t signal_len, std::size_t pattern_len);
 

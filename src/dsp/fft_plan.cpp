@@ -57,25 +57,46 @@ void FftPlan::run(std::span<Complex> x) const {
     if (i < j) std::swap(a[i], a[j]);
   }
 
-  // Butterfly stages run through the dispatch-invariant kernel table
-  // (scalar reference or AVX2/NEON — bit-identical either way, see
-  // src/dsp/simd/kernels.h). Stage len == 2 has twiddle 1; stage len == 4
-  // has twiddles 1 and -j (forward) / +j (inverse); stages len >= 8 use the
-  // precomputed stage-major twiddle table.
-  const simd::KernelTable& kern = simd::active_kernels();
-  kern.fft_stage2(a, n);
-  if (n >= 4) kern.fft_stage4(a, n, kInverse);
+  // Stage len == 2 has twiddle 1; stage len == 4 has twiddles 1 and -j
+  // (forward) / +j (inverse); stages len >= 8 use the precomputed
+  // stage-major twiddle table through the dispatched radix-2 kernel (scalar
+  // reference or AVX2 — bit-identical either way, see
+  // src/dsp/simd/kernels.h). A size-1 transform is the identity.
+  for (std::size_t i = 0; i + 2 <= n; i += 2) {
+    const Complex u = a[i];
+    const Complex v = a[i + 1];
+    a[i] = u + v;
+    a[i + 1] = u - v;
+  }
+  if (n >= 4) {
+    for (std::size_t i = 0; i < n; i += 4) {
+      const Complex u0 = a[i];
+      const Complex u1 = a[i + 1];
+      const Complex v0 = a[i + 2];
+      const Complex t = a[i + 3];
+      const Complex v1 = kInverse ? Complex(-t.imag(), t.real())
+                                  : Complex(t.imag(), -t.real());
+      a[i] = u0 + v0;
+      a[i + 2] = u0 - v0;
+      a[i + 1] = u1 + v1;
+      a[i + 3] = u1 - v1;
+    }
+  }
 
+  const simd::Radix2Stage radix2_stage = simd::fft_radix2_stage();
   for (std::size_t len = 8; len <= n; len <<= 1) {
     const std::size_t half = len / 2;
     const Complex* const tw = twiddles_.data() + (half - 1);
     for (std::size_t i = 0; i < n; i += len) {
-      kern.fft_radix2_stage(a + i, a + i + half, tw, half, kInverse);
+      radix2_stage(a + i, a + i + half, tw, half, kInverse);
     }
   }
 
   if (kInverse) {
-    kern.scale_real(a, 1.0 / static_cast<Real>(n), n);
+    // Scales re and im independently (no complex-by-real multiply fixups).
+    Real* const d = reinterpret_cast<Real*>(a);
+    const Real s = 1.0 / static_cast<Real>(n);
+    for (std::size_t i = 0; i < 2 * n; ++i) d[i] *= s;
   }
 }
 

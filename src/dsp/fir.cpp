@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "dsp/ola.h"
-#include "dsp/simd/kernels.h"
 #include "dsp/window.h"
 
 namespace itb::dsp {
@@ -103,12 +102,19 @@ bool convolve_prefers_fft(std::size_t signal_len, std::size_t kernel_len) {
 
 CVec convolve_direct(std::span<const Complex> x, std::span<const Real> taps) {
   if (x.empty() || taps.empty()) return {};
-  // Scatter form y[i + k] += x[i] * taps[k] through the dispatch-invariant
-  // kernel table; per-output contribution order (i ascending) is identical
-  // to the scalar loop in convolve_direct_impl.
+  // Scatter form y[i + k] += x[i] * taps[k] on re and im separately; the
+  // per-output contribution order (i ascending) is identical to the loop in
+  // convolve_direct_impl.
   CVec y(x.size() + taps.size() - 1, Complex{});
-  simd::active_kernels().fir_scatter_real(x.data(), x.size(), taps.data(),
-                                          taps.size(), y.data());
+  Real* const yd = reinterpret_cast<Real*>(y.data());
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    const Real xr = x[i].real();
+    const Real xi = x[i].imag();
+    for (std::size_t k = 0; k < taps.size(); ++k) {
+      yd[2 * (i + k)] += xr * taps[k];
+      yd[2 * (i + k) + 1] += xi * taps[k];
+    }
+  }
   return y;
 }
 

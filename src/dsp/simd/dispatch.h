@@ -1,16 +1,16 @@
-// Runtime SIMD dispatch for the batched PHY kernels (see kernels.h).
+// Runtime SIMD dispatch for the vectorised FFT stage (see kernels.h).
 //
-// Exactly one kernel table is active at a time: the scalar reference, or a
-// vector implementation (AVX2 on x86-64, NEON on aarch64) compiled into its
-// own translation unit with the matching -m flags. Selection happens once at
-// startup from (a) what this binary was compiled with, (b) what the CPU
+// Two levels exist: the scalar reference and AVX2 (x86-64 only, compiled
+// into its own translation unit with -mavx2). The level is chosen once at
+// startup from (a) whether this binary has the AVX2 TU, (b) what the CPU
 // reports at runtime, and (c) the ITB_DISABLE_SIMD environment variable;
-// tests can additionally flip dispatch at runtime with set_simd_enabled().
+// tests and the end-to-end benchmark can additionally flip dispatch at
+// runtime with set_simd_enabled().
 //
-// The determinism contract (DESIGN.md "Batched PHY engine and dispatch
-// determinism") requires every kernel to produce bit-identical results under
-// any dispatch level, so which table is active is a pure performance choice
-// and never leaks into results, digests, or traces.
+// The determinism contract (DESIGN.md "Dispatched FFT stage and
+// floating-point determinism") requires bit-identical results under either
+// level, so which one is active is a pure performance choice and never
+// leaks into results, digests, or traces.
 #pragma once
 
 namespace itb::dsp::simd {
@@ -18,32 +18,21 @@ namespace itb::dsp::simd {
 enum class Level {
   kScalar = 0,
   kAvx2 = 1,
-  kNeon = 2,
 };
 
-/// Best vector level compiled into this binary (kScalar when the build had
-/// no vector TU, e.g. -DITB_ENABLE_SIMD=OFF or an unsupported compiler).
-Level compiled_level();
-
-/// Level actually usable on this machine: compiled_level() gated by runtime
-/// CPU feature detection and the ITB_DISABLE_SIMD environment variable
-/// (any non-empty value other than "0" forces scalar).
+/// Level usable on this machine: kAvx2 when the AVX2 TU was compiled in and
+/// the CPU supports it, unless the ITB_DISABLE_SIMD environment variable
+/// (any non-empty value other than "0") forces kScalar.
 Level detected_level();
 
-/// Level the kernel dispatch is currently using. Equals detected_level()
-/// unless set_simd_enabled(false) forced scalar.
+/// Level the dispatch is currently using. Equals detected_level() unless
+/// set_simd_enabled(false) forced scalar.
 Level active_level();
 
-/// Runtime override, primarily for the parity suite and the forced-scalar
-/// CI leg: set_simd_enabled(false) routes every kernel through the scalar
+/// Runtime override for the parity suite, the forced-scalar CI leg and the
+/// benchmark's SIMD A/B: set_simd_enabled(false) routes through the scalar
 /// reference; set_simd_enabled(true) restores detected_level(). Thread-safe;
-/// not intended to be flipped concurrently with in-flight kernels.
+/// not intended to be flipped concurrently with in-flight transforms.
 void set_simd_enabled(bool enabled);
-
-/// True when active_level() != kScalar.
-bool simd_active();
-
-/// Human-readable name for diagnostics ("scalar", "avx2", "neon").
-const char* level_name(Level level);
 
 }  // namespace itb::dsp::simd

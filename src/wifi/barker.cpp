@@ -3,7 +3,6 @@
 #include <cassert>
 #include <cmath>
 
-#include "dsp/simd/kernels.h"
 
 namespace itb::wifi {
 
@@ -29,11 +28,18 @@ CVec despread(std::span<const Complex> chips) {
   }();
   const std::size_t n = chips.size() / kBarker.size();
   CVec out(n);
-  // Vectorized across symbols; each symbol's chip accumulation stays
-  // sequential (k ascending), so results match the scalar loop bit-for-bit.
-  dsp::simd::active_kernels().despread_real(
-      chips.data(), kBarkerReal.data(), kBarker.size(), n,
-      static_cast<Real>(kBarker.size()), out.data());
+  // Each symbol's chips accumulate k ascending, then one divide per rail.
+  const Real divisor = static_cast<Real>(kBarker.size());
+  for (std::size_t s = 0; s < n; ++s) {
+    const Complex* const block = chips.data() + s * kBarker.size();
+    Real ar = 0.0;
+    Real ai = 0.0;
+    for (std::size_t k = 0; k < kBarker.size(); ++k) {
+      ar += block[k].real() * kBarkerReal[k];
+      ai += block[k].imag() * kBarkerReal[k];
+    }
+    out[s] = Complex(ar / divisor, ai / divisor);
+  }
   return out;
 }
 

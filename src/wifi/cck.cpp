@@ -3,7 +3,7 @@
 #include <cassert>
 #include <cmath>
 
-#include "dsp/simd/kernels.h"
+#include "dsp/correlate.h"
 #include "wifi/dpsk.h"
 
 namespace itb::wifi {
@@ -122,14 +122,12 @@ Bits CckDemodulator::demodulate(std::span<const Complex> chips,
 
     // Correlate against every base codeword; the strongest match gives the
     // data phases, and its complex correlation carries e^{j p1}. The search
-    // runs chip-major so it vectorizes across the (up to 64) candidates;
-    // each candidate's correlation still accumulates chips in ascending
-    // order, so the result is bit-identical to the per-candidate loop.
-    const itb::dsp::simd::KernelTable& kern = itb::dsp::simd::active_kernels();
+    // runs chip-major across the (up to 64) candidates; each candidate's
+    // correlation still accumulates chips in ascending order.
     std::array<Complex, 64> acc{};
+    const std::span<Complex> bank(acc.data(), candidates_.size());
     for (std::size_t k = 0; k < kCckChipsPerSymbol; ++k) {
-      kern.accum_scaled_conj(acc.data(), columns_[k].data(), block[k],
-                             candidates_.size());
+      itb::dsp::accumulate_scaled_conj(bank, columns_[k], block[k]);
     }
     const Candidate* best = nullptr;
     Complex best_corr{0.0, 0.0};

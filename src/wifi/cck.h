@@ -83,9 +83,9 @@ class CckDemodulator {
   };
   std::vector<Candidate> candidates_;
   /// Chip-major transpose of the candidate codewords: columns_[k][cand] is
-  /// chip k of candidate cand. Lets the codeword search vectorize across
-  /// candidates while each candidate still accumulates its chips in
-  /// ascending order (bit-identical to the per-candidate scalar loop).
+  /// chip k of candidate cand. Lets the codeword search run chip-major
+  /// (one dsp::accumulate_scaled_conj per chip) while each candidate still
+  /// accumulates its chips in ascending order.
   std::array<CVec, kCckChipsPerSymbol> columns_;
 };
 

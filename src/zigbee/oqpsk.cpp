@@ -5,7 +5,7 @@
 #include <limits>
 
 #include "dsp/fir.h"
-#include "dsp/simd/kernels.h"
+#include "dsp/correlate.h"
 #include "obs/prof.h"
 #include "phycommon/bits.h"
 
@@ -137,10 +137,8 @@ Bytes OqpskDemodulator::soft_chips_to_bytes(const CVec& soft,
   if (block_chips == 0) block_chips = kChipsPerSymbol;
   // Complex PN patterns, stored chip-major (one 16-candidate column per
   // chip): chip bit -> +-1 on the I axis (even chips) or the Q axis (odd
-  // chips). The column layout lets the despread vectorize ACROSS the 16
-  // candidate symbols — each candidate's accumulator still sees its chips
-  // in ascending order, so the metric is bit-identical to the per-candidate
-  // scalar loop.
+  // chips). The despread runs chip-major across the 16 candidate symbols;
+  // each candidate's accumulator still sees its chips in ascending order.
   static const std::array<std::array<Complex, 16>, kChipsPerSymbol> columns =
       [] {
         std::array<std::array<Complex, 16>, kChipsPerSymbol> p{};
@@ -154,7 +152,6 @@ Bytes OqpskDemodulator::soft_chips_to_bytes(const CVec& soft,
         return p;
       }();
 
-  const dsp::simd::KernelTable& kern = dsp::simd::active_kernels();
   const std::size_t nsym = soft.size() / kChipsPerSymbol;
   Bytes out;
   for (std::size_t s = 0; s < nsym; s += 2) {
@@ -176,8 +173,7 @@ Bytes OqpskDemodulator::soft_chips_to_bytes(const CVec& soft,
         std::array<Complex, 16> acc{};
         const std::size_t bend = std::min(b0 + block_chips, kChipsPerSymbol);
         for (std::size_t c = b0; c < bend; ++c) {
-          kern.accum_scaled_conj(acc.data(), columns[c].data(), soft[at + c],
-                                 16);
+          dsp::accumulate_scaled_conj(acc, columns[c], soft[at + c]);
         }
         if (have_prev) {
           for (unsigned cand = 0; cand < 16; ++cand) {

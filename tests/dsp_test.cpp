@@ -123,6 +123,17 @@ TEST(FftPlan, InverseRoundTripsThroughPlan) {
   }
 }
 
+// A size-1 transform is the identity and touches nothing past its one
+// element (the length-2 butterfly pass must not run).
+TEST(FftPlan, SizeOneIsIdentityAndStaysInBounds) {
+  CVec buf{{0.5, -0.25}, {7.0, 9.0}};
+  const FftPlan& plan = fft_plan(1);
+  plan.forward(std::span<Complex>(buf).first(1));
+  plan.inverse(std::span<Complex>(buf).first(1));
+  EXPECT_EQ(buf[0], (Complex{0.5, -0.25}));
+  EXPECT_EQ(buf[1], (Complex{7.0, 9.0}));
+}
+
 TEST(FftPlan, RejectsNonPowerOfTwo) {
   EXPECT_THROW(FftPlan(0), std::invalid_argument);
   EXPECT_THROW(FftPlan(3), std::invalid_argument);

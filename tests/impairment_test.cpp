@@ -1,10 +1,13 @@
 // RF impairment chain + receiver synchronization tests: determinism of the
 // counter-based substreams, per-stage sanity, the ISSUE-4 acceptance
 // criteria (OFDM at +-40 ppm tag CFO; thread-count-invariant Monte Carlo
-// with impairments), and receiver sync behaviour under offsets.
+// with impairments), receiver sync behaviour under offsets, and config
+// validation.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <stdexcept>
 
 #include "channel/awgn.h"
 #include "channel/impairments.h"
@@ -73,6 +76,59 @@ TEST(ImpairmentChain, SubstreamSeedsDecorrelated) {
   EXPECT_NE(a, b);
   EXPECT_NE(a, c);
   EXPECT_NE(b, c);
+}
+
+// --- config validation ----------------------------------------------------
+
+// sro_ppm = -1e6 makes the resampler ratio exactly 0 (an endless loop that
+// writes past its scratch span); just above it the ratio is tiny and the
+// output bound asks for ~n * 1e6 samples.
+TEST(ImpairmentChain, RejectsSroOutOfRange) {
+  for (const Real sro : {-1e6, -999999.0, -1e7, 2e5, std::nan(""),
+                         std::numeric_limits<Real>::infinity()}) {
+    channel::ImpairmentConfig cfg;
+    cfg.sro_ppm = sro;
+    EXPECT_THROW(channel::ImpairmentChain{cfg}, std::invalid_argument)
+        << "sro_ppm " << sro;
+  }
+  channel::ImpairmentConfig edge;
+  edge.sro_ppm = -channel::ImpairmentChain::kMaxSroPpm;
+  EXPECT_NO_THROW(channel::ImpairmentChain{edge});
+}
+
+// The CFO and phase-noise steps divide by the sample rate.
+TEST(ImpairmentChain, RejectsNonPositiveOrNanSampleRate) {
+  for (const Real fs : {0.0, -11e6, std::nan(""),
+                        std::numeric_limits<Real>::infinity()}) {
+    channel::ImpairmentConfig cfg;
+    cfg.sample_rate_hz = fs;
+    EXPECT_THROW(channel::ImpairmentChain{cfg}, std::invalid_argument)
+        << "sample_rate_hz " << fs;
+  }
+}
+
+// Past 1024 bits 2^(bits-1) overflows to inf and the quantizer step is 0.
+TEST(ImpairmentChain, RejectsOverflowingAdcBits) {
+  for (const unsigned bits : {54u, 1025u, 4096u}) {
+    channel::ImpairmentConfig cfg;
+    cfg.adc_bits = bits;
+    EXPECT_THROW(channel::ImpairmentChain{cfg}, std::invalid_argument)
+        << "adc_bits " << bits;
+  }
+  channel::ImpairmentConfig edge;
+  edge.adc_bits = channel::ImpairmentChain::kMaxAdcBits;
+  EXPECT_NO_THROW(channel::ImpairmentChain{edge});
+}
+
+TEST(ImpairmentChain, PresetsConstruct) {
+  for (const Real fs : {2e6, 11e6, 20e6, 143e6}) {
+    EXPECT_NO_THROW(
+        channel::ImpairmentChain{channel::implant_tissue_preset(fs)});
+    EXPECT_NO_THROW(
+        channel::ImpairmentChain{channel::ward_mobility_preset(fs)});
+    EXPECT_NO_THROW(
+        channel::ImpairmentChain{channel::card_to_card_preset(fs)});
+  }
 }
 
 // --- per-stage sanity -----------------------------------------------------

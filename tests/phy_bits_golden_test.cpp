@@ -153,27 +153,23 @@ TEST(PhyBitsGolden, Decimate) {
 }
 
 TEST(PhyBitsGolden, FftForwardInverse) {
-  for (std::size_t n : {std::size_t{8}, std::size_t{64}, std::size_t{1024}}) {
-    const dsp::FftPlan& plan = dsp::fft_plan(n);
-    CVec x = gaussian_cvec(n, 111 + n);
+  struct Golden {
+    std::size_t n;
+    std::uint64_t forward;
+    std::uint64_t inverse;
+  };
+  const Golden goldens[] = {
+      {8, 0xed9a830b31213db7ULL, 0x138f35a8e6527f41ULL},
+      {64, 0x7101c6e3fff5728eULL, 0xdc95ad1fa6af2a25ULL},
+      {1024, 0xe3c4482b9bf446ecULL, 0x2d20436267b15124ULL},
+  };
+  for (const Golden& g : goldens) {
+    const dsp::FftPlan& plan = dsp::fft_plan(g.n);
+    CVec x = gaussian_cvec(g.n, 111 + g.n);
     plan.forward(x);
-    const std::uint64_t fwd = fnv64(x);
+    EXPECT_DIGEST(g.forward, fnv64(x)) << "n=" << g.n;
     plan.inverse(x);
-    const std::uint64_t inv = fnv64(x);
-    switch (n) {
-      case 8:
-        EXPECT_DIGEST(0xed9a830b31213db7ULL, fwd);
-        EXPECT_DIGEST(0x138f35a8e6527f41ULL, inv);
-        break;
-      case 64:
-        EXPECT_DIGEST(0x7101c6e3fff5728eULL, fwd);
-        EXPECT_DIGEST(0xdc95ad1fa6af2a25ULL, inv);
-        break;
-      default:
-        EXPECT_DIGEST(0xe3c4482b9bf446ecULL, fwd);
-        EXPECT_DIGEST(0x2d20436267b15124ULL, inv);
-        break;
-    }
+    EXPECT_DIGEST(g.inverse, fnv64(x)) << "n=" << g.n;
   }
 }
 

@@ -1,36 +1,27 @@
-// SIMD-vs-scalar parity suite for the dispatch-invariant PHY kernels
-// (dsp/simd). Every kernel in the table is driven over odd lengths,
-// misaligned spans and batch tails, and its vector result is compared
-// BIT-FOR-BIT (memcmp) against the scalar reference — the determinism
-// contract is exact equality, not tolerance. Integration-level parity runs
-// whole receive-chain pieces with SIMD toggled at runtime, and the
-// Monte-Carlo digest check pins bit-identical sweeps across 1/2/8 threads
-// with and without SIMD.
+// SIMD-vs-scalar parity for the one dispatched PHY kernel, the FFT's
+// radix-2 stage (dsp/simd). The AVX2 twin is driven over several widths,
+// misaligned spans and both directions, and compared BIT-FOR-BIT (memcmp)
+// against the scalar reference — the determinism contract is exact
+// equality, not tolerance. Whole transforms are compared with SIMD toggled
+// at runtime, and the Monte-Carlo digest check pins bit-identical sweeps
+// across 1/2/8 threads with and without SIMD.
 //
-// On hosts without a compiled/detected vector backend the dispatch table is
-// the scalar table and these tests degenerate to self-comparison — still
-// useful as a harness smoke test, and the CI forced-scalar leg
+// On hosts without a compiled/detected AVX2 backend the dispatched stage is
+// the scalar reference and these tests degenerate to self-comparison —
+// still useful as a harness smoke test, and the CI forced-scalar leg
 // (ITB_DISABLE_SIMD=1) exercises that path deliberately.
 #include <gtest/gtest.h>
 
-#include <array>
 #include <cstring>
 #include <span>
 #include <vector>
 
 #include "channel/impairments.h"
-#include "core/arena.h"
 #include "core/monte_carlo.h"
-#include "dsp/correlate.h"
 #include "dsp/fft_plan.h"
 #include "dsp/rng.h"
 #include "dsp/simd/dispatch.h"
 #include "dsp/simd/kernels.h"
-#include "phy/batch.h"
-#include "wifi/barker.h"
-#include "wifi/cck.h"
-#include "wifi/qam.h"
-#include "zigbee/oqpsk.h"
 
 namespace itb::dsp::simd {
 namespace {
@@ -46,13 +37,6 @@ CVec random_cvec(std::size_t n, std::uint64_t seed) {
   Xoshiro256 rng(splitmix64(seed));
   CVec v(n);
   for (auto& x : v) x = rng.complex_gaussian(1.0);
-  return v;
-}
-
-RVec random_rvec(std::size_t n, std::uint64_t seed) {
-  Xoshiro256 rng(splitmix64(seed));
-  RVec v(n);
-  for (auto& x : v) x = rng.gaussian();
   return v;
 }
 
@@ -73,187 +57,23 @@ RVec random_rvec(std::size_t n, std::uint64_t seed) {
   return ::testing::AssertionFailure() << "memcmp mismatch";
 }
 
-// Lengths covering the vector width (2 or 4 lanes), odd tails, and sizes
-// around the unroll boundaries.
-const std::size_t kLengths[] = {1,  2,  3,  4,  5,  6,  7,  8,  9,
-                                11, 13, 15, 16, 17, 23, 31, 32, 33,
-                                63, 64, 65, 67, 128, 129};
-
-/// Runs `op` twice on misaligned copies of the same data — once with the
-/// dispatch table, once with the scalar reference — and bit-compares.
-/// `op(table, data_span)` mutates data_span in place.
-template <typename Op>
-void check_inplace(std::size_t n, std::uint64_t seed, const Op& op) {
-  // One leading element makes .data()+1 16-byte (not 32-byte) aligned: every
-  // AVX2 kernel must go through unaligned loads.
-  CVec base = random_cvec(n + 1, seed);
-  CVec a = base;
-  CVec b = base;
-  op(active_kernels(), std::span<Complex>(a).subspan(1));
-  op(*scalar_kernels(), std::span<Complex>(b).subspan(1));
-  EXPECT_TRUE(BitsEqual(a, b)) << "n=" << n;
-}
-
-TEST(SimdParity, CmulPointwise) {
-  for (std::size_t n : kLengths) {
-    const CVec spec = random_cvec(n, 1000 + n);
-    check_inplace(n, 2000 + n, [&](const KernelTable& k, std::span<Complex> x) {
-      k.cmul_pointwise(x.data(), spec.data(), x.size());
-    });
-  }
-}
-
-TEST(SimdParity, ScaleReal) {
-  for (std::size_t n : kLengths) {
-    check_inplace(n, 3000 + n, [&](const KernelTable& k, std::span<Complex> x) {
-      k.scale_real(x.data(), 1.0 / 3.0, x.size());
-    });
-  }
-}
-
-TEST(SimdParity, DotConj) {
-  for (std::size_t n : kLengths) {
-    const CVec x = random_cvec(n + 1, 4000 + n);
-    const CVec p = random_cvec(n + 1, 5000 + n);
-    const Complex a =
-        active_kernels().dot_conj(x.data() + 1, p.data() + 1, n);
-    const Complex b =
-        scalar_kernels()->dot_conj(x.data() + 1, p.data() + 1, n);
-    EXPECT_EQ(std::memcmp(&a, &b, sizeof(Complex)), 0)
-        << "n=" << n << ": (" << a.real() << "," << a.imag() << ") vs ("
-        << b.real() << "," << b.imag() << ")";
-  }
-}
-
-TEST(SimdParity, CorrelateRealAndConj) {
-  for (std::size_t nx : kLengths) {
-    for (std::size_t np : {std::size_t{1}, std::size_t{3}, std::size_t{11}}) {
-      if (np > nx) continue;
-      const CVec x = random_cvec(nx + 1, 6000 + nx * 7 + np);
-      const RVec pr = random_rvec(np, 6500 + np);
-      const CVec pc = random_cvec(np, 6600 + np);
-      const std::size_t nout = nx - np + 1;
-      CVec outa(nout), outb(nout);
-      active_kernels().correlate_real(x.data() + 1, nx, pr.data(), np,
-                                      outa.data());
-      scalar_kernels()->correlate_real(x.data() + 1, nx, pr.data(), np,
-                                       outb.data());
-      EXPECT_TRUE(BitsEqual(outa, outb)) << "real nx=" << nx << " np=" << np;
-      active_kernels().correlate_conj(x.data() + 1, nx, pc.data(), np,
-                                      outa.data());
-      scalar_kernels()->correlate_conj(x.data() + 1, nx, pc.data(), np,
-                                       outb.data());
-      EXPECT_TRUE(BitsEqual(outa, outb)) << "conj nx=" << nx << " np=" << np;
-    }
-  }
-}
-
-TEST(SimdParity, DespreadReal) {
-  for (std::size_t np : {std::size_t{7}, std::size_t{11}, std::size_t{16}}) {
-    for (std::size_t nsym :
-         {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{5},
-          std::size_t{9}}) {
-      const CVec chips = random_cvec(np * nsym + 1, 7000 + np * 31 + nsym);
-      const RVec p = random_rvec(np, 7500 + np);
-      CVec outa(nsym), outb(nsym);
-      active_kernels().despread_real(chips.data() + 1, p.data(), np, nsym,
-                                     static_cast<Real>(np), outa.data());
-      scalar_kernels()->despread_real(chips.data() + 1, p.data(), np, nsym,
-                                      static_cast<Real>(np), outb.data());
-      EXPECT_TRUE(BitsEqual(outa, outb)) << "np=" << np << " nsym=" << nsym;
-    }
-  }
-}
-
-TEST(SimdParity, AccumScaledConj) {
-  for (std::size_t n : kLengths) {
-    const CVec p = random_cvec(n + 1, 8000 + n);
-    const Complex s = random_cvec(1, 8500 + n)[0];
-    check_inplace(n, 8600 + n, [&](const KernelTable& k, std::span<Complex> acc) {
-      k.accum_scaled_conj(acc.data(), p.data() + 1, s, acc.size());
-    });
-  }
-}
-
-TEST(SimdParity, FirScatterReal) {
-  for (std::size_t nx : kLengths) {
-    for (std::size_t nt : {std::size_t{1}, std::size_t{5}, std::size_t{12}}) {
-      const CVec x = random_cvec(nx + 1, 9000 + nx * 3 + nt);
-      const RVec taps = random_rvec(nt, 9500 + nt);
-      CVec ya(nx + nt - 1, Complex{}), yb(nx + nt - 1, Complex{});
-      active_kernels().fir_scatter_real(x.data() + 1, nx, taps.data(), nt,
-                                        ya.data());
-      scalar_kernels()->fir_scatter_real(x.data() + 1, nx, taps.data(), nt,
-                                         yb.data());
-      EXPECT_TRUE(BitsEqual(ya, yb)) << "nx=" << nx << " nt=" << nt;
-    }
-  }
-}
-
-TEST(SimdParity, FirCausalComplex) {
-  for (std::size_t n : kLengths) {
-    for (std::size_t nt : {std::size_t{1}, std::size_t{2}, std::size_t{4},
-                           std::size_t{9}}) {
-      const CVec x = random_cvec(n + 1, 10000 + n * 3 + nt);
-      const CVec taps = random_cvec(nt, 10500 + nt);
-      CVec ya(n, Complex{}), yb(n, Complex{});
-      active_kernels().fir_causal_complex(x.data() + 1, n, taps.data(), nt,
-                                          ya.data());
-      scalar_kernels()->fir_causal_complex(x.data() + 1, n, taps.data(), nt,
-                                           yb.data());
-      EXPECT_TRUE(BitsEqual(ya, yb)) << "n=" << n << " nt=" << nt;
-    }
-  }
-}
-
-TEST(SimdParity, IqImbalance) {
-  const Complex alpha{0.98, 0.02};
-  const Complex beta{0.015, -0.01};
-  for (std::size_t n : kLengths) {
-    check_inplace(n, 11000 + n, [&](const KernelTable& k, std::span<Complex> x) {
-      k.iq_imbalance(x.data(), alpha, beta, x.size());
-    });
-  }
-}
-
-TEST(SimdParity, QuantizeMidrise) {
-  // Scale some samples far outside full_scale so both clamp branches run.
-  for (std::size_t n : kLengths) {
-    check_inplace(n, 12000 + n, [&](const KernelTable& k, std::span<Complex> x) {
-      for (std::size_t i = 0; i < x.size(); i += 3) x[i] *= 10.0;
-      k.quantize_midrise(x.data(), 2.0, 2.0 / 64.0, x.size());
-    });
-  }
-}
-
 TEST(SimdParity, FftStages) {
-  for (std::size_t n : {std::size_t{2}, std::size_t{4}, std::size_t{8},
-                        std::size_t{16}, std::size_t{64}, std::size_t{256}}) {
-    check_inplace(n, 13000 + n, [&](const KernelTable& k, std::span<Complex> x) {
-      k.fft_stage2(x.data(), x.size());
-    });
-    if (n < 4) continue;
-    for (bool inverse : {false, true}) {
-      check_inplace(n, 13500 + n + (inverse ? 1 : 0),
-                    [&](const KernelTable& k, std::span<Complex> x) {
-                      k.fft_stage4(x.data(), x.size(), inverse);
-                    });
-    }
-  }
   // Radix-2 butterfly stage: half is always a multiple of 4 in the plan
-  // (stages len >= 8); exercise several widths and both directions.
+  // (stages len >= 8); exercise several widths and both directions. One
+  // leading element makes .data()+1 16-byte (not 32-byte) aligned, so the
+  // AVX2 twin must go through unaligned loads.
   for (std::size_t half : {std::size_t{4}, std::size_t{8}, std::size_t{16},
                            std::size_t{32}}) {
-    const CVec tw = random_cvec(half, 14000 + half);
+    const CVec tw = random_cvec(half + 1, 14000 + half);
     for (bool inverse : {false, true}) {
-      CVec lo_a = random_cvec(half, 14100 + half);
-      CVec hi_a = random_cvec(half, 14200 + half);
+      CVec lo_a = random_cvec(half + 1, 14100 + half);
+      CVec hi_a = random_cvec(half + 1, 14200 + half);
       CVec lo_b = lo_a;
       CVec hi_b = hi_a;
-      active_kernels().fft_radix2_stage(lo_a.data(), hi_a.data(), tw.data(),
-                                        half, inverse);
-      scalar_kernels()->fft_radix2_stage(lo_b.data(), hi_b.data(), tw.data(),
-                                         half, inverse);
+      fft_radix2_stage()(lo_a.data() + 1, hi_a.data() + 1, tw.data() + 1,
+                         half, inverse);
+      fft_radix2_stage_scalar(lo_b.data() + 1, hi_b.data() + 1, tw.data() + 1,
+                              half, inverse);
       EXPECT_TRUE(BitsEqual(lo_a, lo_b)) << "half=" << half;
       EXPECT_TRUE(BitsEqual(hi_a, hi_b)) << "half=" << half;
     }
@@ -279,76 +99,6 @@ TEST(SimdParity, WholeFftTransformMatchesScalarDispatch) {
     }
     EXPECT_TRUE(BitsEqual(with, without)) << "inverse n=" << n;
   }
-}
-
-// --- integration-level parity: receive-chain pieces with SIMD toggled -----
-
-TEST(SimdParity, CrossCorrelateDirectDispatchInvariant) {
-  const CVec x = random_cvec(777, 16000);
-  const CVec p = random_cvec(31, 16001);
-  const CVec with = cross_correlate_direct(x, p);
-  SimdGuard off(false);
-  const CVec without = cross_correlate_direct(x, p);
-  EXPECT_TRUE(BitsEqual(with, without));
-}
-
-TEST(SimdParity, BarkerDespreadDispatchInvariant) {
-  const CVec chips = random_cvec(11 * 37, 17000);
-  const CVec with = itb::wifi::despread(chips);
-  SimdGuard off(false);
-  const CVec without = itb::wifi::despread(chips);
-  EXPECT_TRUE(BitsEqual(with, without));
-}
-
-TEST(SimdParity, CckDemodulateDispatchInvariant) {
-  itb::wifi::CckModulator mod(itb::wifi::DsssRate::k11Mbps);
-  Xoshiro256 rng(splitmix64(18000));
-  itb::phy::Bits bits(8 * 32);
-  for (auto& b : bits) b = rng.bit();
-  CVec chips = mod.modulate(bits);
-  for (auto& c : chips) c += rng.complex_gaussian(0.05);
-  itb::wifi::CckDemodulator demod(itb::wifi::DsssRate::k11Mbps);
-  const itb::phy::Bits with = demod.demodulate(chips);
-  SimdGuard off(false);
-  itb::wifi::CckDemodulator demod2(itb::wifi::DsssRate::k11Mbps);
-  const itb::phy::Bits without = demod2.demodulate(chips);
-  EXPECT_EQ(with, without);
-}
-
-TEST(SimdParity, ZigbeeSoftDespreadDispatchInvariant) {
-  itb::zigbee::OqpskConfig cfg;
-  const itb::zigbee::OqpskModulator mod(cfg);
-  const itb::zigbee::OqpskDemodulator demod(cfg);
-  const itb::phy::Bytes payload = {0x12, 0x34, 0xAB, 0xCD, 0x5A};
-  Xoshiro256 rng(splitmix64(19000));
-  CVec wave = mod.modulate_bytes(payload);
-  for (auto& v : wave) v += rng.complex_gaussian(0.02);
-  const CVec soft = demod.soft_chips(wave, 0);
-  const itb::phy::Bytes with = demod.soft_chips_to_bytes(soft, 8);
-  SimdGuard off(false);
-  const itb::phy::Bytes without = demod.soft_chips_to_bytes(soft, 8);
-  EXPECT_EQ(with, without);
-}
-
-TEST(SimdParity, ImpairmentChainDispatchInvariant) {
-  itb::channel::ImpairmentConfig cfg =
-      itb::channel::ward_mobility_preset(11e6);
-  const itb::channel::ImpairmentChain chain(cfg);
-  const CVec x = random_cvec(2048, 20000);
-  const CVec with = chain.apply(x, 99, 3);
-  SimdGuard off(false);
-  const CVec without = chain.apply(x, 99, 3);
-  EXPECT_TRUE(BitsEqual(with, without));
-}
-
-TEST(SimdParity, QamDemodulateDispatchInvariant) {
-  const CVec syms = random_cvec(600, 21000);
-  const itb::phy::Bits with =
-      itb::wifi::qam_demodulate(syms, itb::wifi::Modulation::k64Qam);
-  SimdGuard off(false);
-  const itb::phy::Bits without =
-      itb::wifi::qam_demodulate(syms, itb::wifi::Modulation::k64Qam);
-  EXPECT_EQ(with, without);
 }
 
 // --- Monte-Carlo digest: threads x SIMD ---------------------------------
@@ -385,26 +135,19 @@ TEST(SimdParity, MonteCarloSweepBitIdenticalAcrossThreadsAndDispatch) {
 
 // --- dispatch plumbing ---------------------------------------------------
 
-TEST(SimdDispatch, RuntimeToggleSelectsScalarTable) {
-  EXPECT_EQ(&active_kernels(), &active_kernels());
+TEST(SimdDispatch, RuntimeToggleSelectsScalarStage) {
   {
     SimdGuard off(false);
     EXPECT_EQ(active_level(), Level::kScalar);
-    EXPECT_EQ(&active_kernels(), scalar_kernels());
+    EXPECT_EQ(fft_radix2_stage(), &fft_radix2_stage_scalar);
   }
-  // Restored default: active equals detected.
+  // Restored default: active equals detected, and the AVX2 level is only
+  // ever detected when its twin was compiled in.
   EXPECT_EQ(active_level(), detected_level());
-}
-
-TEST(SimdDispatch, CompiledAndDetectedAreConsistent) {
-  // detected can never exceed compiled, and the scalar table always exists.
   if (detected_level() == Level::kAvx2) {
-    EXPECT_NE(avx2_kernels(), nullptr);
+    EXPECT_NE(fft_radix2_stage_avx2(), nullptr);
+    EXPECT_EQ(fft_radix2_stage(), fft_radix2_stage_avx2());
   }
-  if (detected_level() == Level::kNeon) {
-    EXPECT_NE(neon_kernels(), nullptr);
-  }
-  EXPECT_NE(scalar_kernels(), nullptr);
 }
 
 }  // namespace
