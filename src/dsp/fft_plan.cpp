@@ -84,12 +84,8 @@ void FftPlan::run(std::span<Complex> x) const {
   }
 
   const simd::Radix2Stage radix2_stage = simd::fft_radix2_stage();
-  for (std::size_t len = 8; len <= n; len <<= 1) {
-    const std::size_t half = len / 2;
-    const Complex* const tw = twiddles_.data() + (half - 1);
-    for (std::size_t i = 0; i < n; i += len) {
-      radix2_stage(a + i, a + i + half, tw, half, kInverse);
-    }
+  for (std::size_t half = 4; half < n; half <<= 1) {
+    radix2_stage(a, n, twiddles_.data() + (half - 1), half, kInverse);
   }
 
   if (kInverse) {

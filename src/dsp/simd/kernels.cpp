@@ -7,18 +7,22 @@
 
 namespace itb::dsp::simd {
 
-void fft_radix2_stage_scalar(Complex* lo, Complex* hi, const Complex* tw,
+void fft_radix2_stage_scalar(Complex* a, std::size_t n, const Complex* tw,
                              std::size_t half, bool inverse) {
-  for (std::size_t k = 0; k < half; ++k) {
-    const Real wr = tw[k].real();
-    const Real wi = inverse ? -tw[k].imag() : tw[k].imag();
-    const Real hr = hi[k].real();
-    const Real hi_im = hi[k].imag();
-    const Real vr = hr * wr - hi_im * wi;
-    const Real vi = hr * wi + hi_im * wr;
-    const Complex l = lo[k];
-    hi[k] = Complex(l.real() - vr, l.imag() - vi);
-    lo[k] = Complex(l.real() + vr, l.imag() + vi);
+  for (std::size_t i = 0; i < n; i += 2 * half) {
+    Complex* const lo = a + i;
+    Complex* const hi = lo + half;
+    for (std::size_t k = 0; k < half; ++k) {
+      const Real wr = tw[k].real();
+      const Real wi = inverse ? -tw[k].imag() : tw[k].imag();
+      const Real hr = hi[k].real();
+      const Real hi_im = hi[k].imag();
+      const Real vr = hr * wr - hi_im * wi;
+      const Real vi = hr * wi + hi_im * wr;
+      const Complex l = lo[k];
+      hi[k] = Complex(l.real() - vr, l.imag() - vi);
+      lo[k] = Complex(l.real() + vr, l.imag() + vi);
+    }
   }
 }
 

@@ -22,15 +22,17 @@
 
 namespace itb::dsp::simd {
 
-/// One radix-2 stage for len >= 8: for k in [0, half):
-/// w = tw[k] (conjugated when inverse); h = hi[k];
+/// One radix-2 stage of length len = 2 * half >= 8 over all n elements of
+/// `a` (n a multiple of len; half a multiple of 4). For each block start
+/// i = 0, len, 2 len, ... and k in [0, half), ascending: w = tw[k]
+/// (conjugated when inverse); l = a[i+k]; h = a[i+k+half];
 /// v = (h.re*w.re - h.im*w.im, h.re*w.im + h.im*w.re);
-/// hi[k] = lo[k] - v; lo[k] = lo[k] + v. half is a multiple of 4.
-using Radix2Stage = void (*)(Complex* lo, Complex* hi, const Complex* tw,
+/// a[i+k+half] = l - v; a[i+k] = l + v.
+using Radix2Stage = void (*)(Complex* a, std::size_t n, const Complex* tw,
                              std::size_t half, bool inverse);
 
 /// The scalar reference (the specification).
-void fft_radix2_stage_scalar(Complex* lo, Complex* hi, const Complex* tw,
+void fft_radix2_stage_scalar(Complex* a, std::size_t n, const Complex* tw,
                              std::size_t half, bool inverse);
 
 /// The AVX2 twin; nullptr when its TU was compiled without AVX2.

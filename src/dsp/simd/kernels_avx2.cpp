@@ -35,22 +35,26 @@ inline __m256d neg_odd_mask() {
 // [xr, xi] per complex -> [xi, xr].
 inline __m256d swap_pairs(__m256d v) { return _mm256_permute_pd(v, 0x5); }
 
-void fft_radix2_stage(Complex* lo, Complex* hi, const Complex* tw, size_t half,
+void fft_radix2_stage(Complex* a, size_t n, const Complex* tw, size_t half,
                       bool inverse) {
   const __m256d conj_mask = neg_odd_mask();
-  for (size_t k = 0; k + 2 <= half; k += 2) {
-    __m256d w = _mm256_loadu_pd(dptr(tw + k));
-    if (inverse) w = _mm256_xor_pd(w, conj_mask);
-    const __m256d wr = _mm256_movedup_pd(w);
-    const __m256d wi = _mm256_permute_pd(w, 0xF);
-    const __m256d h = _mm256_loadu_pd(dptr(hi + k));
-    // addsub([hr*wr, hi*wr], [hi*wi, hr*wi])
-    //   = [hr*wr - hi*wi, hi*wr + hr*wi] per complex.
-    const __m256d v = _mm256_addsub_pd(_mm256_mul_pd(h, wr),
-                                       _mm256_mul_pd(swap_pairs(h), wi));
-    const __m256d l = _mm256_loadu_pd(dptr(lo + k));
-    _mm256_storeu_pd(dptr(hi + k), _mm256_sub_pd(l, v));
-    _mm256_storeu_pd(dptr(lo + k), _mm256_add_pd(l, v));
+  for (size_t i = 0; i < n; i += 2 * half) {
+    Complex* const lo = a + i;
+    Complex* const hi = lo + half;
+    for (size_t k = 0; k + 2 <= half; k += 2) {
+      __m256d w = _mm256_loadu_pd(dptr(tw + k));
+      if (inverse) w = _mm256_xor_pd(w, conj_mask);
+      const __m256d wr = _mm256_movedup_pd(w);
+      const __m256d wi = _mm256_permute_pd(w, 0xF);
+      const __m256d h = _mm256_loadu_pd(dptr(hi + k));
+      // addsub([hr*wr, hi*wr], [hi*wi, hr*wi])
+      //   = [hr*wr - hi*wi, hi*wr + hr*wi] per complex.
+      const __m256d v = _mm256_addsub_pd(_mm256_mul_pd(h, wr),
+                                         _mm256_mul_pd(swap_pairs(h), wi));
+      const __m256d l = _mm256_loadu_pd(dptr(lo + k));
+      _mm256_storeu_pd(dptr(hi + k), _mm256_sub_pd(l, v));
+      _mm256_storeu_pd(dptr(lo + k), _mm256_add_pd(l, v));
+    }
   }
 }
 
