@@ -8,6 +8,7 @@
 #include <cmath>
 #include <vector>
 
+#include "dsp/rng.h"
 #include "mac/arq.h"
 #include "sim/faults.h"
 #include "sim/network.h"
@@ -393,6 +394,96 @@ TEST(Resilience, BackoffIdlesSlotsDeterministically) {
   EXPECT_EQ(e.backoff_skips, 0u);
   EXPECT_GE(e.messages_offered + e.retransmissions,
             a.messages_offered + a.retransmissions);
+}
+
+// --- pinned digests -----------------------------------------------------------
+
+/// The intensity-x fault profile of bench/net_resilience.cpp.
+FaultSchedule resilience_faults(const NetworkConfig& cfg, double intensity,
+                                std::uint64_t seed) {
+  const std::size_t tags = cfg.topology.num_tags;
+  FaultProfile profile;
+  profile.horizon_us = static_cast<double>(cfg.rounds) *
+                       static_cast<double>((tags + 2) / 3) * 20160.0;
+  profile.outages_per_ap = intensity;
+  profile.outage_mean_us = 0.1 * profile.horizon_us;
+  profile.bursts_per_channel = 2.0 * intensity;
+  profile.burst_mean_us = 0.05 * profile.horizon_us;
+  profile.burst_rise_db = 20.0;
+  profile.brownouts_per_tag = 0.2 * intensity;
+  profile.brownout_mean_us = 0.02 * profile.horizon_us;
+  profile.snr_slumps = intensity;
+  profile.slump_mean_us = 0.05 * profile.horizon_us;
+  profile.slump_depth_db = 6.0;
+  return generate_fault_schedule(profile, cfg.topology.num_aps,
+                                 cfg.wifi_channels, tags, seed);
+}
+
+/// The ARQ + rate/ZigBee fallback + failover settings both the resilience
+/// bench and the fleet benchmark run with.
+void enable_recovery(NetworkConfig& cfg) {
+  cfg.enable_arq = true;
+  cfg.arq.max_attempts = 8;
+  cfg.arq.retry_budget = 16;
+  cfg.arq.backoff_base_slots = 0;
+  cfg.fallback.enable_rate_fallback = true;
+  cfg.fallback.enable_zigbee_fallback = true;
+  cfg.fallback.down_after_failures = 2;
+  cfg.ap_failover = true;
+}
+
+TEST(ResilienceDigest, NetResilienceBenchPointsPinnedAcrossThreadCounts) {
+  // bench/net_resilience.cpp at 5000 tags, intensity 1.0, without and with
+  // the recovery machinery: the BENCH_net_resilience.json digests.
+  NetworkConfig cfg;
+  cfg.topology.kind = TopologyKind::kGrid;
+  cfg.topology.num_tags = 5000;
+  cfg.topology.extent_m = 30.0;
+  cfg.topology.num_helpers = 324;
+  cfg.topology.num_aps = 16;
+  cfg.wifi_channels = {1, 6, 11};
+  cfg.rounds = 10;
+  cfg.ambient_busy_probability = 0.05;
+  cfg.tag_medium_loss_db = 0.0;
+  cfg.detector_sensitivity_dbm = -60.0;
+  cfg.seed = 2026;
+  cfg.faults = resilience_faults(cfg, 1.0, cfg.seed ^ 0xFA17u);
+  NetworkConfig arq = cfg;
+  enable_recovery(arq);
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    cfg.num_threads = threads;
+    arq.num_threads = threads;
+    EXPECT_EQ(NetworkCoordinator(cfg).run().digest(), 0xa72bc4cbabd24423ULL)
+        << "plain, " << threads << " threads";
+    EXPECT_EQ(NetworkCoordinator(arq).run().digest(), 0x75eeb762f6feea36ULL)
+        << "arq, " << threads << " threads";
+  }
+}
+
+TEST(ResilienceDigest, StreamingFaultFleetPinnedAcrossThreadCounts) {
+  // The fleet_1m_faults workload of e2ebench/fleet.cpp at its 20k-tag smoke
+  // size (seed 7): streaming stats with faults, ARQ, fallback and failover.
+  constexpr std::uint64_t kSeed = 7;
+  NetworkConfig cfg;
+  cfg.topology.kind = TopologyKind::kHospitalWard;
+  cfg.topology.num_tags = 20000;
+  cfg.topology.num_helpers = 0;
+  cfg.topology.num_aps = (20000 + 3) / 16;
+  cfg.topology.seed = dsp::splitmix64(kSeed ^ 0x746F706FULL);
+  cfg.detector_sensitivity_dbm = -49.0;
+  cfg.wifi_channels = {1, 6, 11};
+  cfg.rounds = 8;
+  cfg.seed = dsp::splitmix64(kSeed);
+  cfg.keep_per_tag = false;
+  enable_recovery(cfg);
+  cfg.faults = resilience_faults(cfg, 1.0, 2026 ^ 0xFA17u);
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    cfg.num_threads = threads;
+    const NetworkStats s = NetworkCoordinator(cfg).run();
+    EXPECT_GT(s.failover_polls, 0u);
+    EXPECT_GT(s.fallback_polls, 0u);
+    EXPECT_EQ(s.digest(), 0xbdca68815673b91dULL) << threads << " threads";
+  }
 }
 
 }  // namespace

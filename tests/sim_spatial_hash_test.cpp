@@ -233,6 +233,18 @@ TEST(NetworkScaleDigest, StreamingStatsAreThreadCountInvariant) {
   }
 }
 
+TEST(NetworkScaleDigest, StreamingDigestPinnedAcrossThreadCounts) {
+  // The keep_per_tag=false reduction folds per-shard partial sums, so its
+  // digest differs from the per-tag path's; pin it on its own.
+  NetworkConfig cfg = bench_config(5000);
+  cfg.keep_per_tag = false;
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    cfg.num_threads = threads;
+    EXPECT_EQ(NetworkCoordinator(cfg).run().digest(), 0x7a605b3e164cca59ULL)
+        << threads << " threads";
+  }
+}
+
 TEST(NetworkScaleDigest, StreamingCountersMatchPerTagPath) {
   // The streaming fold must count exactly what the per-tag reduction
   // counts; only FP summation order may differ between the two paths.
