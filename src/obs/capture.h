@@ -1,9 +1,10 @@
 // RunCapture: the opt-in observation bundle a caller hands to
-// Network::run(). Null pointer (the default) means zero observation work
-// beyond a branch per hook — the path every existing caller and benchmark
-// takes. Non-null turns on sim-time tracing and the metrics registry; both
-// outputs are deterministic (bit-identical at any thread count) because
-// they are collected per shard and merged in shard-index order.
+// NetworkCoordinator::run(). Null pointer (the default) means zero
+// observation work beyond a branch per hook — the path every existing caller
+// and benchmark takes. Non-null turns on sim-time tracing and the metrics
+// snapshot; both outputs are deterministic (bit-identical at any thread
+// count): trace events are collected per shard and merged in shard-index
+// order, and the snapshot is exported from the merged sim::NetworkStats.
 #pragma once
 
 #include <cstddef>
@@ -21,11 +22,12 @@ struct RunCapture {
   bool collect_trace = true;
 
   /// Per-shard trace ring capacity (oldest-drop beyond this; drops are
-  /// counted in `trace.dropped()` and surfaced as `itb.trace.dropped`).
+  /// counted in `trace.dropped()` and surfaced as
+  /// `itb.trace.events_dropped`).
   std::size_t trace_events_per_shard = 1 << 16;
 
   /// Outputs, filled by run(): trace is finalized (merged + sorted), the
-  /// metrics snapshot is merged across shards.
+  /// metrics snapshot is exported from the run's NetworkStats.
   TraceLog trace;
   MetricsSnapshot metrics;
 };

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdio>
+#include <functional>
 #include <ostream>
 #include <stdexcept>
 
@@ -59,109 +60,6 @@ const char* metric_kind_name(MetricKind k) {
   return "?";
 }
 
-MetricId MetricsRegistry::add(std::string name, MetricKind kind,
-                              std::vector<double> edges) {
-  for (std::size_t i = 0; i < specs_.size(); ++i) {
-    if (specs_[i].name != name) continue;
-    if (specs_[i].kind != kind) {
-      throw std::invalid_argument("MetricsRegistry: `" + name +
-                                  "` re-registered with a different kind");
-    }
-    return i;
-  }
-  if (kind == MetricKind::kHistogram) {
-    if (edges.empty()) {
-      throw std::invalid_argument("MetricsRegistry: `" + name +
-                                  "` histogram needs at least one edge");
-    }
-    if (!std::is_sorted(edges.begin(), edges.end()) ||
-        std::adjacent_find(edges.begin(), edges.end()) != edges.end()) {
-      throw std::invalid_argument("MetricsRegistry: `" + name +
-                                  "` edges must be strictly increasing");
-    }
-  }
-  specs_.push_back({std::move(name), kind, std::move(edges)});
-  return specs_.size() - 1;
-}
-
-MetricId MetricsRegistry::counter(std::string name) {
-  return add(std::move(name), MetricKind::kCounter, {});
-}
-
-MetricId MetricsRegistry::gauge(std::string name) {
-  return add(std::move(name), MetricKind::kGauge, {});
-}
-
-MetricId MetricsRegistry::histogram(std::string name,
-                                    std::vector<double> upper_edges) {
-  return add(std::move(name), MetricKind::kHistogram, std::move(upper_edges));
-}
-
-MetricCells MetricsRegistry::make_cells() const {
-  MetricCells cells;
-  cells.cells_.resize(specs_.size());
-  for (std::size_t i = 0; i < specs_.size(); ++i) {
-    if (specs_[i].kind != MetricKind::kHistogram) continue;
-    cells.cells_[i].buckets.assign(specs_[i].edges.size() + 1, 0);
-    cells.cells_[i].edges = &specs_[i].edges;
-  }
-  return cells;
-}
-
-void MetricCells::observe(MetricId id, double value) {
-  Cell& c = cells_[id];
-  ++c.count;
-  c.value += value;
-  const std::vector<double>& edges = *c.edges;
-  // Linear scan: sim histograms have ~a dozen buckets, and the upper-edge
-  // comparison (<=) matches the Prometheus `le` convention exactly.
-  std::size_t b = edges.size();  // overflow (+Inf) by default
-  for (std::size_t i = 0; i < edges.size(); ++i) {
-    if (value <= edges[i]) {
-      b = i;
-      break;
-    }
-  }
-  ++c.buckets[b];
-}
-
-MetricsSnapshot MetricsRegistry::merge(
-    const std::vector<MetricCells>& shards) const {
-  MetricsSnapshot snap;
-  snap.metrics_.reserve(specs_.size());
-  for (std::size_t i = 0; i < specs_.size(); ++i) {
-    MetricValue mv;
-    mv.name = specs_[i].name;
-    mv.kind = specs_[i].kind;
-    mv.edges = specs_[i].edges;
-    if (mv.kind == MetricKind::kHistogram) {
-      mv.buckets.assign(mv.edges.size() + 1, 0);
-    }
-    // Shard order is the reduction order: deterministic because the shard
-    // list is a fixed partition, never a function of thread scheduling.
-    for (const MetricCells& shard : shards) {
-      const MetricCells::Cell& c = shard.cells_[i];
-      switch (mv.kind) {
-        case MetricKind::kCounter:
-          mv.count += c.count;
-          break;
-        case MetricKind::kGauge:
-          if (c.value_set) mv.value = c.value;
-          break;
-        case MetricKind::kHistogram:
-          mv.count += c.count;
-          mv.value += c.value;
-          for (std::size_t b = 0; b < mv.buckets.size(); ++b) {
-            mv.buckets[b] += c.buckets[b];
-          }
-          break;
-      }
-    }
-    snap.metrics_.push_back(std::move(mv));
-  }
-  return snap;
-}
-
 const MetricValue* MetricsSnapshot::find(std::string_view name) const {
   for (const MetricValue& m : metrics_) {
     if (m.name == name) return &m;
@@ -172,11 +70,6 @@ const MetricValue* MetricsSnapshot::find(std::string_view name) const {
 std::uint64_t MetricsSnapshot::counter_value(std::string_view name) const {
   const MetricValue* m = find(name);
   return (m != nullptr && m->kind == MetricKind::kCounter) ? m->count : 0;
-}
-
-double MetricsSnapshot::gauge_value(std::string_view name) const {
-  const MetricValue* m = find(name);
-  return (m != nullptr && m->kind == MetricKind::kGauge) ? m->value : 0.0;
 }
 
 void MetricsSnapshot::append_counter(std::string name, std::uint64_t value) {
@@ -192,6 +85,27 @@ void MetricsSnapshot::append_gauge(std::string name, double value) {
   mv.name = std::move(name);
   mv.kind = MetricKind::kGauge;
   mv.value = value;
+  metrics_.push_back(std::move(mv));
+}
+
+void MetricsSnapshot::append_histogram(std::string name,
+                                       std::vector<double> upper_edges,
+                                       std::vector<std::uint64_t> buckets,
+                                       double sum) {
+  if (upper_edges.empty() || buckets.size() != upper_edges.size() + 1 ||
+      std::adjacent_find(upper_edges.begin(), upper_edges.end(),
+                         std::greater_equal<>()) != upper_edges.end()) {
+    throw std::invalid_argument("MetricsSnapshot: `" + name +
+                                "` needs strictly increasing edges and one "
+                                "bucket per edge plus +Inf");
+  }
+  MetricValue mv;
+  mv.name = std::move(name);
+  mv.kind = MetricKind::kHistogram;
+  for (const std::uint64_t b : buckets) mv.count += b;
+  mv.value = sum;
+  mv.edges = std::move(upper_edges);
+  mv.buckets = std::move(buckets);
   metrics_.push_back(std::move(mv));
 }
 

@@ -1,18 +1,9 @@
-// Deterministic metrics registry: typed counters / gauges / fixed-bucket
-// histograms registered by name, accumulated in per-shard cell blocks with
-// no atomics, and merged in shard-index order at join — so a metrics
-// snapshot is bit-identical at any thread count (DESIGN.md "Observability
-// and the determinism contract").
-//
-// Three pieces:
-//   MetricsRegistry  — the schema: names, kinds, histogram bucket edges.
-//                      Built once (single-threaded) before the fan-out;
-//                      registration order fixes metric ids.
-//   MetricCells      — one shard's plain-value accumulation block, laid out
-//                      by the schema. Cheap to create per shard, written by
-//                      exactly one thread, no synchronization.
-//   MetricsSnapshot  — the ordered merge of all shards' cells: JSON and
-//                      Prometheus-text writers, name lookup, FNV digest.
+// Metrics snapshot: typed counters / gauges / fixed-bucket histograms in a
+// fixed order, with JSON and Prometheus-text writers whose bytes depend only
+// on the values (DESIGN.md "Observability and the determinism contract").
+// The simulator fills one after its ordered merge, as an export of
+// sim::NetworkStats, so the snapshot inherits the stats' thread-count
+// invariance.
 //
 // Histogram bucket semantics match Prometheus: bucket i counts samples with
 // value <= upper_edges[i] (non-cumulative storage; the text writer emits
@@ -30,68 +21,6 @@ namespace itb::obs {
 enum class MetricKind : std::uint8_t { kCounter = 0, kGauge = 1, kHistogram = 2 };
 const char* metric_kind_name(MetricKind k);
 
-using MetricId = std::size_t;
-
-class MetricCells;
-class MetricsSnapshot;
-
-class MetricsRegistry {
- public:
-  /// Registers (or re-finds, idempotently by name) a metric. Histogram
-  /// edges must be strictly increasing; an implicit +Inf bucket is added.
-  /// Registering an existing name with a different kind throws
-  /// std::invalid_argument.
-  MetricId counter(std::string name);
-  MetricId gauge(std::string name);
-  MetricId histogram(std::string name, std::vector<double> upper_edges);
-
-  std::size_t size() const { return specs_.size(); }
-
-  /// A zeroed accumulation block laid out for this schema.
-  MetricCells make_cells() const;
-
-  /// Sequential, index-ordered reduction over shard cell blocks: counters
-  /// and histograms sum, gauges keep the last set() in shard order. The
-  /// result is independent of how the shards were scheduled onto threads.
-  MetricsSnapshot merge(const std::vector<MetricCells>& shards) const;
-
- private:
-  struct Spec {
-    std::string name;
-    MetricKind kind = MetricKind::kCounter;
-    std::vector<double> edges;  ///< histogram upper edges (ascending)
-  };
-  MetricId add(std::string name, MetricKind kind, std::vector<double> edges);
-
-  std::vector<Spec> specs_;
-};
-
-/// One shard's metric values. Write-only during the parallel phase; the
-/// registry turns a vector of these into a MetricsSnapshot at join.
-class MetricCells {
- public:
-  /// Counter increment.
-  void add(MetricId id, std::uint64_t delta = 1) { cells_[id].count += delta; }
-  /// Gauge set (last set wins within a shard; shard order decides at merge).
-  void set(MetricId id, double value) {
-    cells_[id].value = value;
-    cells_[id].value_set = true;
-  }
-  /// Histogram observation.
-  void observe(MetricId id, double value);
-
- private:
-  friend class MetricsRegistry;
-  struct Cell {
-    std::uint64_t count = 0;  ///< counter value / histogram sample count
-    double value = 0.0;       ///< gauge value / histogram sample sum
-    bool value_set = false;
-    std::vector<std::uint64_t> buckets;  ///< per-bucket counts + overflow
-    const std::vector<double>* edges = nullptr;  ///< borrowed from the schema
-  };
-  std::vector<Cell> cells_;
-};
-
 struct MetricValue {
   std::string name;
   MetricKind kind = MetricKind::kCounter;
@@ -103,15 +32,16 @@ struct MetricValue {
 
 class MetricsSnapshot {
  public:
-  const std::vector<MetricValue>& metrics() const { return metrics_; }
   const MetricValue* find(std::string_view name) const;
-  /// 0 / 0.0 when the metric is missing or of another kind.
+  /// 0 when the metric is missing or of another kind.
   std::uint64_t counter_value(std::string_view name) const;
-  double gauge_value(std::string_view name) const;
 
-  /// Post-merge extras (e.g. ProfZone call counts promoted to counters).
   void append_counter(std::string name, std::uint64_t value);
   void append_gauge(std::string name, double value);
+  /// `buckets` holds one count per upper edge plus the +Inf overflow;
+  /// edges must be strictly increasing (std::invalid_argument otherwise).
+  void append_histogram(std::string name, std::vector<double> upper_edges,
+                        std::vector<std::uint64_t> buckets, double sum);
 
   /// `{"metrics": [{"name": ..., "kind": ..., ...}]}`; field order and
   /// float formatting are fixed, so equal snapshots serialize to equal
@@ -125,7 +55,6 @@ class MetricsSnapshot {
   std::uint64_t digest() const;
 
  private:
-  friend class MetricsRegistry;
   std::vector<MetricValue> metrics_;
 };
 

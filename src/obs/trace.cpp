@@ -129,17 +129,21 @@ void TraceLog::write_perfetto_json(std::ostream& os) const {
     } else {
       os << ", \"s\": \"t\"";  // instant scoped to its thread track
     }
-    if (e.arg_name != nullptr || e.sarg_name != nullptr) {
-      os << ", \"args\": {";
-      if (e.arg_name != nullptr) {
-        os << "\"" << e.arg_name << "\": " << e.arg;
-      }
-      if (e.sarg_name != nullptr) {
-        if (e.arg_name != nullptr) os << ", ";
-        os << "\"" << e.sarg_name << "\": \"" << e.sarg << "\"";
-      }
-      os << "}";
+    bool has_args = false;
+    const auto key = [&](const char* k) {
+      os << (has_args ? ", " : ", \"args\": {") << "\"" << k << "\": ";
+      has_args = true;
+    };
+    for (const TraceArg& a : e.args) {
+      if (a.name == nullptr) continue;
+      key(a.name);
+      os << a.value;
     }
+    if (e.sarg_name != nullptr) {
+      key(e.sarg_name);
+      os << "\"" << e.sarg << "\"";
+    }
+    if (has_args) os << "}";
     os << "}";
   }
   os << "\n]}\n";
@@ -155,9 +159,10 @@ std::uint64_t TraceLog::digest() const {
     h.mix(e.tid);
     h.mix(static_cast<std::uint64_t>(e.ts_us));
     h.mix(static_cast<std::uint64_t>(e.dur_us));
-    if (e.arg_name != nullptr) {
-      h.mix(e.arg_name);
-      h.mix(e.arg);
+    for (const TraceArg& a : e.args) {
+      if (a.name == nullptr) continue;
+      h.mix(a.name);
+      h.mix(a.value);
     }
     if (e.sarg_name != nullptr) {
       h.mix(e.sarg_name);

@@ -23,6 +23,7 @@
 // site in practice) — emission stays allocation-free.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
@@ -32,6 +33,11 @@ namespace itb::obs {
 
 enum class TracePhase : std::uint8_t { kSpan = 0, kInstant = 1 };
 
+struct TraceArg {
+  const char* name = nullptr;  ///< unset = no argument in this slot
+  std::uint64_t value = 0;
+};
+
 struct TraceEvent {
   const char* name = "";
   const char* cat = "";
@@ -40,8 +46,7 @@ struct TraceEvent {
   std::uint32_t tid = 0;
   std::int64_t ts_us = 0;
   std::int64_t dur_us = 0;          ///< spans only
-  const char* arg_name = nullptr;   ///< optional numeric argument
-  std::uint64_t arg = 0;
+  std::array<TraceArg, 3> args{};   ///< optional numeric arguments
   const char* sarg_name = nullptr;  ///< optional string argument
   const char* sarg = nullptr;
 };
@@ -53,19 +58,6 @@ class TraceBuffer {
  public:
   explicit TraceBuffer(std::size_t capacity) : capacity_(capacity) {
     ring_.reserve(capacity_);
-  }
-
-  void span(const char* name, const char* cat, std::uint32_t pid,
-            std::uint32_t tid, std::int64_t ts_us, std::int64_t dur_us) {
-    TraceEvent e;
-    e.name = name;
-    e.cat = cat;
-    e.phase = TracePhase::kSpan;
-    e.pid = pid;
-    e.tid = tid;
-    e.ts_us = ts_us;
-    e.dur_us = dur_us;
-    push(e);
   }
 
   void instant(const char* name, const char* cat, std::uint32_t pid,

@@ -14,6 +14,7 @@
 #include "obs/capture.h"
 #include "obs/prof.h"
 #include "sim/event_queue.h"
+#include "sim/poll_resolver.h"
 #include "sim/spatial_hash.h"
 
 namespace itb::sim {
@@ -43,60 +44,6 @@ std::uint64_t phase_counter(std::uint64_t round, std::uint64_t phase) {
 /// handler, so it rides in the event data.
 constexpr std::uint64_t kFailoverBit = 1ULL << 63;
 
-struct Shard {
-  std::size_t group = 0;
-  std::size_t begin = 0;  ///< slot range within the group's tag list
-  std::size_t end = 0;
-};
-
-/// Streaming stats block: everything the final reduction needs from one
-/// shard when per-tag records are not kept. Each shard folds its local
-/// TagStats into one of these as it finishes, so memory stays
-/// O(shards + threads * shard_tags) instead of O(tags) — the difference
-/// between 1M-tag runs fitting in cache-adjacent memory and a ~250 MB
-/// TagStats array. Blocks merge sequentially in shard-index order (==
-/// group-major slot order, the same order the per-tag reduction walks),
-/// so the merged result is thread-count invariant.
-struct ShardAgg {
-  std::uint64_t queries = 0;
-  std::uint64_t replies = 0;
-  std::uint64_t downlink_misses = 0;
-  std::uint64_t reservation_denied = 0;
-  std::uint64_t collisions = 0;
-  std::uint64_t decode_failures = 0;
-  std::uint64_t messages_offered = 0;
-  std::uint64_t messages_delivered = 0;
-  std::uint64_t messages_dropped = 0;
-  std::uint64_t retransmissions = 0;
-  std::uint64_t backoff_skips = 0;
-  std::uint64_t brownout_skips = 0;
-  std::uint64_t outage_skips = 0;
-  std::uint64_t link_down_polls = 0;
-  std::uint64_t failover_polls = 0;
-  std::uint64_t fallback_polls = 0;
-  double payload_bits = 0.0;
-  double tx_energy_nj = 0.0;
-  double sum_tag_goodput = 0.0;
-  double sum_airtime_duty = 0.0;
-  double sum_harvest_duty = 0.0;
-  double sum_power_uw = 0.0;
-};
-
-/// Per-tag ARQ + fallback progress (lives in the owning shard only; a pure
-/// fold over that tag's own attempt outcomes, so thread-count invariant).
-struct ArqProgress {
-  bool in_flight = false;         ///< a message is being delivered
-  std::size_t frag = 0;           ///< next fragment index to deliver
-  std::size_t frag_attempts = 0;  ///< attempts spent on the current fragment
-  std::size_t msg_attempts = 0;   ///< attempts spent on the whole message
-  std::size_t retx_used = 0;      ///< retransmissions charged to the budget
-  std::size_t fail_streak = 0;    ///< consecutive failed attempts (backoff)
-  std::size_t backoff_remaining = 0;  ///< slots left to idle before retrying
-  mac::RateFallbackController fallback;
-  bool disrupted = false;         ///< inside a not-yet-recovered outage/fade
-  double disrupted_since_us = 0.0;
-};
-
 Real waveform_per_at(mac::LinkWaveform w, Real snr_db,
                      std::size_t wire_bytes) {
   if (mac::is_wifi(w)) {
@@ -105,47 +52,227 @@ Real waveform_per_at(mac::LinkWaveform w, Real snr_db,
   return itb::channel::per_802154(snr_db, wire_bytes);
 }
 
-/// One shard's bounded PollRecord buffer: beyond trace_capacity the oldest
-/// record is overwritten. Per-shard rings plus a global oldest-trim after
-/// the merge keep the kept window identical at any thread count.
-struct PollRing {
-  std::vector<PollRecord> ring;
-  std::size_t head = 0;        ///< oldest record once the ring is full
-  std::uint64_t emitted = 0;
+/// What the link budget and the fault timeline say about a poll of `tag`
+/// at `t_us`.
+PollGates gates_at(const TagLink& link, const FaultTimeline& timeline,
+                   std::uint32_t tag, double t_us) {
+  PollGates g;
+  g.link_down = link.link_down;
+  g.ap_down = !link.link_down && timeline.ap_down(link.ap, t_us);
+  g.failover_up = g.ap_down && link.has_failover &&
+                  !timeline.ap_down(link.failover_ap, t_us);
+  g.browned_out = !link.link_down && timeline.tag_browned_out(tag, t_us);
+  return g;
+}
 
-  void push(const PollRecord& r, std::size_t capacity) {
-    ++emitted;
-    if (capacity == 0 || ring.size() < capacity) {
-      ring.push_back(r);
-      return;
-    }
-    ring[head] = r;
-    head = (head + 1) % capacity;
+mac::ReservationOutcome reservation_at(const NetworkConfig& cfg,
+                                       Real busy_probability) {
+  mac::ReservationConfig rc;
+  rc.scheme = cfg.reservation;
+  rc.channel_busy_probability = busy_probability;
+  rc.cts_detection_probability = cfg.cts_detection_probability;
+  return mac::reservation_outcome(rc);
+}
+
+/// Every per-tag counter, the NetworkStats total it sums into, and the
+/// metric that exports that total (null: not exported), in export order.
+struct Counter {
+  std::uint64_t TagStats::*tag;
+  std::uint64_t NetworkStats::*total;
+  const char* metric;
+};
+constexpr Counter kCounters[] = {
+    {&TagStats::queries, &NetworkStats::queries_sent, "itb.sim.polls_total"},
+    {&TagStats::replies, &NetworkStats::replies_received,
+     "itb.sim.replies_total"},
+    {&TagStats::downlink_misses, &NetworkStats::downlink_misses,
+     "itb.sim.downlink_misses"},
+    {&TagStats::reservation_denied, &NetworkStats::reservation_denied,
+     "itb.sim.reservation_denied"},
+    {&TagStats::collisions, &NetworkStats::collisions, "itb.sim.collisions"},
+    {&TagStats::decode_failures, &NetworkStats::decode_failures,
+     "itb.sim.decode_failures"},
+    {&TagStats::retransmissions, &NetworkStats::retransmissions,
+     "itb.arq.retries"},
+    {&TagStats::backoff_skips, &NetworkStats::backoff_skips,
+     "itb.arq.backoff_slots"},
+    {&TagStats::messages_delivered, &NetworkStats::messages_delivered,
+     "itb.arq.messages_delivered"},
+    {&TagStats::messages_dropped, &NetworkStats::messages_dropped,
+     "itb.arq.messages_dropped"},
+    {&TagStats::rate_downshifts, &NetworkStats::rate_downshifts,
+     "itb.rate.downshifts"},
+    {&TagStats::rate_upshifts, &NetworkStats::rate_upshifts,
+     "itb.rate.upshifts"},
+    {&TagStats::brownout_skips, &NetworkStats::brownout_skips,
+     "itb.faults.brownout_skips"},
+    {&TagStats::outage_skips, &NetworkStats::outage_skips,
+     "itb.faults.outage_skips"},
+    {&TagStats::failover_polls, &NetworkStats::failover_polls,
+     "itb.faults.failover_polls"},
+    {&TagStats::link_down_polls, &NetworkStats::link_down_polls,
+     "itb.faults.link_down_polls"},
+    {&TagStats::messages_offered, &NetworkStats::messages_offered, nullptr},
+    {&TagStats::fallback_polls, &NetworkStats::fallback_polls, nullptr},
+};
+
+/// The floating-point sums behind NetworkStats' goodput, energy and per-tag
+/// means. Streaming folds each shard's tags into its own Sums and merges
+/// those in shard order; keep_per_tag folds every tag into one running Sums
+/// in the same group-major slot order. The two differ only in association.
+struct Sums {
+  double payload_bits = 0.0;
+  double tx_energy_nj = 0.0;
+  double tag_goodput_kbps = 0.0;
+  double airtime_duty = 0.0;
+  double harvest_duty = 0.0;
+  double power_uw = 0.0;
+
+  /// `elapsed_us` and `shift_hz` are the tag's group's timeline length and
+  /// SSB shift.
+  void add(const TagStats& ts, double elapsed_us, Real shift_hz,
+           const itb::backscatter::IcPowerModel& power,
+           itb::wifi::DsssRate rate) {
+    payload_bits += ts.payload_bits;
+    tx_energy_nj += ts.tx_energy_nj;
+    tag_goodput_kbps += mac::safe_goodput_kbps(ts.payload_bits, elapsed_us);
+    const double duty = elapsed_us > 0.0 ? ts.airtime_us / elapsed_us : 0.0;
+    airtime_duty += duty;
+    harvest_duty += elapsed_us > 0.0 ? ts.harvest_us / elapsed_us : 0.0;
+    power_uw += power.average_power_uw(rate, shift_hz, std::min(duty, 1.0));
+  }
+
+  void merge(const Sums& o) {
+    payload_bits += o.payload_bits;
+    tx_energy_nj += o.tx_energy_nj;
+    tag_goodput_kbps += o.tag_goodput_kbps;
+    airtime_duty += o.airtime_duty;
+    harvest_duty += o.harvest_duty;
+    power_uw += o.power_uw;
   }
 };
 
-/// Metric ids for the sim-domain registry (registered once per run()).
-struct SimMetricIds {
-  obs::MetricId polls = 0;
-  obs::MetricId replies = 0;
-  obs::MetricId downlink_misses = 0;
-  obs::MetricId reservation_denied = 0;
-  obs::MetricId collisions = 0;
-  obs::MetricId decode_failures = 0;
-  obs::MetricId retries = 0;
-  obs::MetricId backoff = 0;
-  obs::MetricId delivered = 0;
-  obs::MetricId dropped = 0;
-  obs::MetricId downshifts = 0;
-  obs::MetricId upshifts = 0;
-  obs::MetricId brownouts = 0;
-  obs::MetricId outages = 0;
-  obs::MetricId failovers = 0;
-  obs::MetricId link_down = 0;
-  obs::MetricId latency = 0;
+/// Writes one shard's events onto its logical Perfetto track: one
+/// "process" per FDMA group, one "thread" per shard — functions of the
+/// topology, never of how shards were scheduled onto OS threads. A null
+/// buffer (tracing off) makes every call a single branch.
+struct ShardTracer {
+  obs::TraceBuffer* buf = nullptr;
+  std::uint32_t pid = 0;
+  std::uint32_t tid = 0;
+  const std::array<double, mac::kNumLinkWaveforms>* airtime_us = nullptr;
+
+  void poll(double t_us, std::uint32_t tag, std::uint64_t round,
+            PollOutcome out, mac::LinkWaveform wf, std::uint32_t ap,
+            bool retx) const {
+    if (buf == nullptr) return;
+    obs::TraceEvent e;
+    e.name = poll_outcome_name(out);
+    e.cat = "poll";
+    e.pid = pid;
+    e.tid = tid;
+    e.ts_us = static_cast<std::int64_t>(t_us);
+    // Outcomes that put energy on the air are spans (dur = attempt airtime
+    // on the active rung); skipped/silent slots are instants.
+    if (out == PollOutcome::kDelivered || out == PollOutcome::kCollision ||
+        out == PollOutcome::kDecodeFailure) {
+      e.phase = obs::TracePhase::kSpan;
+      e.dur_us = static_cast<std::int64_t>(
+          (*airtime_us)[static_cast<std::size_t>(wf)]);
+    }
+    e.args = {{{"tag", tag}, {"round", round}, {"ap", ap}}};
+    e.sarg_name = "waveform";
+    e.sarg = mac::waveform_name(wf);
+    buf->push(e);
+    if (retx) buf->instant("arq.retx", "arq", pid, tid, e.ts_us);
+  }
+
+  void rate_shift(double t_us, bool up, mac::LinkWaveform now) const {
+    if (buf == nullptr) return;
+    obs::TraceEvent e;
+    e.name = up ? "rate.upshift" : "rate.downshift";
+    e.cat = "rate";
+    e.pid = pid;
+    e.tid = tid;
+    e.ts_us = static_cast<std::int64_t>(t_us);
+    e.sarg_name = "waveform";
+    e.sarg = mac::waveform_name(now);
+    buf->push(e);
+  }
 };
 
+/// Names the logical tracks, adds the fault windows on their own track, and
+/// merges the shard rings in shard-index order.
+void export_trace(const NetworkConfig& cfg, const RunPlan& plan,
+                  const std::vector<obs::TraceBuffer>& shards,
+                  obs::TraceLog& log) {
+  const std::size_t num_groups = plan.groups.size();
+  for (std::size_t g = 0; g < num_groups; ++g) {
+    log.set_process_name(static_cast<std::uint32_t>(g + 1),
+                         "wifi-ch" + std::to_string(cfg.wifi_channels[g]));
+  }
+  for (std::size_t si = 0; si < plan.shards.size(); ++si) {
+    const RunPlan::Shard& sh = plan.shards[si];
+    log.set_thread_name(static_cast<std::uint32_t>(sh.group + 1),
+                        static_cast<std::uint32_t>(si + 1),
+                        "shard " + std::to_string(si) + " slots[" +
+                            std::to_string(sh.begin) + "," +
+                            std::to_string(sh.end) + ")");
+  }
+  // Fault windows get their own process so an AP reboot or microwave burst
+  // reads as a span directly above the polls it disrupts.
+  if (!cfg.faults.empty()) {
+    const auto fault_pid = static_cast<std::uint32_t>(num_groups + 1);
+    log.set_process_name(fault_pid, "faults");
+    log.set_thread_name(fault_pid, 1, "timeline");
+    for (const FaultEvent& fe : cfg.faults.events) {
+      obs::TraceEvent e;
+      e.name = fault_kind_name(fe.kind);
+      e.cat = "fault";
+      e.phase = obs::TracePhase::kSpan;
+      e.pid = fault_pid;
+      e.tid = 1;
+      e.ts_us = static_cast<std::int64_t>(fe.start_us);
+      e.dur_us = static_cast<std::int64_t>(fe.duration_us);
+      e.args[0] = {"entity", fe.entity};
+      log.push(e);
+    }
+  }
+  for (const obs::TraceBuffer& b : shards) log.absorb(b);
+  log.finalize();
+}
+
+/// The metrics snapshot of a finished run: an export of its NetworkStats.
+obs::MetricsSnapshot export_metrics(const NetworkStats& s,
+                                    std::uint64_t trace_events_dropped) {
+  obs::MetricsSnapshot m;
+  for (const Counter& c : kCounters) {
+    if (c.metric != nullptr) m.append_counter(c.metric, s.*c.total);
+  }
+  // Bucket b is LatencyHistogram bin b; the last bin is open-ended, so it
+  // is the +Inf bucket.
+  const LatencyHistogram& lat = s.query_latency;
+  std::vector<double> edges(LatencyHistogram::kBins - 1);
+  for (std::size_t b = 0; b < edges.size(); ++b) {
+    edges[b] = LatencyHistogram::bin_upper_us(b);
+  }
+  m.append_histogram("itb.sim.poll_latency_us", std::move(edges),
+                     {lat.counts.begin(), lat.counts.end()}, lat.sum_us);
+  m.append_counter("itb.trace.events_dropped", trace_events_dropped);
+  m.append_gauge("itb.sim.elapsed_us", s.elapsed_us);
+  m.append_gauge("itb.sim.goodput_kbps", s.aggregate_goodput_kbps);
+  m.append_gauge("itb.sim.delivery_ratio", s.delivery_ratio);
+  return m;
+}
+
 }  // namespace
+
+/// One shard's share of the run's ledger, merged in shard order: its
+/// counter totals and histograms, and its floating-point sums.
+struct NetworkCoordinator::ShardResult {
+  NetworkStats stats;
+  Sums sums;
+};
 
 NetworkCoordinator::NetworkCoordinator(const NetworkConfig& cfg) : cfg_(cfg) {
   static const std::size_t kZoneBuild = obs::prof_zone("sim.topology_build");
@@ -228,11 +355,13 @@ NetworkCoordinator::NetworkCoordinator(const NetworkConfig& cfg) : cfg_(cfg) {
     if (!group_preset[g]) return snr_db;
     return itb::channel::impaired_snr_db(*group_preset[g], snr_db, 1e6);
   };
+  const auto downlink_rssi = [&](Real ap_distance_m) {
+    return itb::channel::direct_rssi_dbm(cfg_.ap_tx_power_dbm, 2.0, 2.0, pl,
+                                         ap_distance_m) -
+           cfg_.tag_medium_loss_db;
+  };
   const auto downlink_miss = [&](Real ap_distance_m) {
-    const Real rssi = itb::channel::direct_rssi_dbm(cfg_.ap_tx_power_dbm, 2.0,
-                                                    2.0, pl, ap_distance_m) -
-                      cfg_.tag_medium_loss_db;
-    return rssi < cfg_.detector_sensitivity_dbm
+    return downlink_rssi(ap_distance_m) < cfg_.detector_sensitivity_dbm
                ? Real{1.0}
                : cfg_.polling.downlink_error_rate;
   };
@@ -267,10 +396,7 @@ NetworkCoordinator::NetworkCoordinator(const NetworkConfig& cfg) : cfg_(cfg) {
 
     // Downlink: the AP's OFDM-AM query must clear the tag's peak detector
     // after the tissue loss; below sensitivity the tag never hears it.
-    link.downlink_rssi_dbm =
-        itb::channel::direct_rssi_dbm(cfg_.ap_tx_power_dbm, 2.0, 2.0, pl,
-                                      link.ap_distance_m) -
-        cfg_.tag_medium_loss_db;
+    link.downlink_rssi_dbm = downlink_rssi(link.ap_distance_m);
     link.downlink_miss_prob = downlink_miss(link.ap_distance_m);
 
     // Failover target: next-nearest AP, with its own precomputed budget.
@@ -326,11 +452,8 @@ NetworkCoordinator::NetworkCoordinator(const NetworkConfig& cfg) : cfg_(cfg) {
   std::vector<Real> mean_reply_watts(num_groups, 0.0);
   std::vector<Real> occupancy(num_groups, 0.0);
   {
-    mac::ReservationConfig rc;
-    rc.scheme = cfg_.reservation;
-    rc.channel_busy_probability = cfg_.ambient_busy_probability;
-    rc.cts_detection_probability = cfg_.cts_detection_probability;
-    const mac::ReservationOutcome base = mac::reservation_outcome(rc);
+    const mac::ReservationOutcome base =
+        reservation_at(cfg_, cfg_.ambient_busy_probability);
     for (std::size_t g = 0; g < num_groups; ++g) {
       if (group_tags_[g].empty()) continue;
       Real watts = 0.0;
@@ -412,735 +535,322 @@ NetworkCoordinator::NetworkCoordinator(const NetworkConfig& cfg) : cfg_(cfg) {
   });
 }
 
-NetworkStats NetworkCoordinator::run(obs::RunCapture* capture) const {
-  static const std::size_t kZoneRun = obs::prof_zone("sim.run");
-  const obs::ProfZone prof_run(kZoneRun);
-  const std::size_t n = placement_.tags.size();
-  const std::size_t num_groups = group_tags_.size();
-  const double slot_us = mac::poll_slot_us(cfg_.polling);
-  const double query_us = static_cast<double>(mac::QueryFrame::kBits) /
-                          cfg_.polling.downlink_kbps * 1e3;
-  const double payload_bits = static_cast<double>(cfg_.payload_bytes) * 8.0;
-  /// Application bits one delivered fragment is worth (the framing bytes
-  /// are overhead, not goodput).
-  const double frag_bits = payload_bits / static_cast<double>(fragments_);
-  const mac::LinkWaveform initial_waveform = mac::waveform_for_rate(cfg_.rate);
-
-  // Per-group reservation outcome (closed form, O(1) per reply).
-  std::vector<mac::ReservationOutcome> outcome(num_groups);
-  std::vector<double> round_us(num_groups, 0.0);
-  for (std::size_t g = 0; g < num_groups; ++g) {
-    mac::ReservationConfig rc;
-    rc.scheme = cfg_.reservation;
-    rc.channel_busy_probability = channels_[g].busy_probability;
-    rc.cts_detection_probability = cfg_.cts_detection_probability;
-    outcome[g] = mac::reservation_outcome(rc);
-    round_us[g] =
-        static_cast<double>(group_tags_[g].size()) * slot_us;
+RunPlan NetworkCoordinator::plan() const {
+  RunPlan p;
+  p.slot_us = mac::poll_slot_us(cfg_.polling);
+  p.query_us = static_cast<double>(mac::QueryFrame::kBits) /
+               cfg_.polling.downlink_kbps * 1e3;
+  p.delivered_bits = static_cast<double>(cfg_.payload_bytes) * 8.0 /
+                     static_cast<double>(fragments_);
+  for (std::size_t w = 0; w < mac::kNumLinkWaveforms; ++w) {
+    p.attempt_airtime_us[w] = mac::waveform_airtime_us(
+        static_cast<mac::LinkWaveform>(w), wire_bytes_);
   }
-
-  // Per-rung attempt airtime and IC transmit energy (per group: the SSB
-  // shift sets the synthesizer power). uW * us = pJ, stored as nJ.
+  // Attempt energy follows the IC model at the group's SSB shift (it sets
+  // the synthesizer power). uW * us = pJ, stored as nJ.
   const itb::backscatter::IcPowerModel power(cfg_.ic_power);
   const Real ble_hz = itb::ble::ChannelMap::frequency_hz(cfg_.ble_channel);
-  std::array<double, mac::kNumLinkWaveforms> attempt_airtime_us{};
-  std::vector<std::array<double, mac::kNumLinkWaveforms>> attempt_energy_nj(
-      num_groups);
-  for (std::size_t w = 0; w < mac::kNumLinkWaveforms; ++w) {
-    const auto wf = static_cast<mac::LinkWaveform>(w);
-    attempt_airtime_us[w] = mac::waveform_airtime_us(wf, wire_bytes_);
-    for (std::size_t g = 0; g < num_groups; ++g) {
-      const Real shift_hz = std::abs(
-          itb::ble::wifi_channel_hz(cfg_.wifi_channels[g]) - ble_hz);
-      attempt_energy_nj[g][w] =
-          power.active_power(mac::waveform_rate(wf), shift_hz).total_uw() *
-          attempt_airtime_us[w] * 1e-3;
+  p.groups.resize(group_tags_.size());
+  for (std::size_t g = 0; g < group_tags_.size(); ++g) {
+    RunPlan::Group& grp = p.groups[g];
+    grp.reservation = reservation_at(cfg_, channels_[g].busy_probability);
+    grp.round_us = static_cast<double>(group_tags_[g].size()) * p.slot_us;
+    grp.control_amortized_us =
+        grp.reservation.data_slots_per_event > 0.0
+            ? grp.reservation.control_overhead_us /
+                  grp.reservation.data_slots_per_event
+            : 0.0;
+    grp.shift_hz =
+        std::abs(itb::ble::wifi_channel_hz(cfg_.wifi_channels[g]) - ble_hz);
+    for (std::size_t w = 0; w < mac::kNumLinkWaveforms; ++w) {
+      const auto wf = static_cast<mac::LinkWaveform>(w);
+      grp.attempt_energy_nj[w] =
+          power.active_power(mac::waveform_rate(wf), grp.shift_hz)
+              .total_uw() *
+          p.attempt_airtime_us[w] * 1e-3;
     }
-  }
-
-  // Fixed shard partition: contiguous slot ranges within each group,
-  // independent of num_threads (part of the result's identity).
-  std::vector<Shard> shards;
-  for (std::size_t g = 0; g < num_groups; ++g) {
     for (std::size_t b = 0; b < group_tags_[g].size(); b += cfg_.shard_tags) {
-      shards.push_back(
+      p.shards.push_back(
           {g, b, std::min(b + cfg_.shard_tags, group_tags_[g].size())});
     }
   }
+  return p;
+}
 
-  // Per-tag records are only materialized globally when the caller asked to
-  // keep them; otherwise each shard streams its TagStats into a ShardAgg
-  // block and the O(tags) array is never allocated.
-  std::vector<TagStats> tag_stats(cfg_.keep_per_tag ? n : 0);
-  std::vector<ShardAgg> shard_agg(cfg_.keep_per_tag ? 0 : shards.size());
-  std::vector<LatencyHistogram> shard_latency(shards.size());
-  std::vector<LatencyHistogram> shard_recovery(shards.size());
-  std::vector<RetryHistogram> shard_retries(shards.size());
-  std::vector<PollRing> shard_trace(shards.size());
+NetworkStats NetworkCoordinator::run(obs::RunCapture* capture) const {
+  static const std::size_t kZoneRun = obs::prof_zone("sim.run");
+  const obs::ProfZone prof_run(kZoneRun);
+  const RunPlan plan = this->plan();
 
-  // Observation state: the registry is the schema (built single-threaded,
-  // before the fan-out), each shard gets its own cell block and trace ring,
-  // and everything merges in shard-index order after the join — the same
-  // reduction discipline the stats follow, so the snapshot/trace inherit
-  // the digest contract. Null capture skips all of it.
-  obs::MetricsRegistry registry;
-  SimMetricIds mid{};
-  std::vector<obs::MetricCells> shard_cells;
-  std::vector<obs::TraceBuffer> shard_tbuf;
-  if (capture != nullptr) {
-    mid.polls = registry.counter("itb.sim.polls_total");
-    mid.replies = registry.counter("itb.sim.replies_total");
-    mid.downlink_misses = registry.counter("itb.sim.downlink_misses");
-    mid.reservation_denied = registry.counter("itb.sim.reservation_denied");
-    mid.collisions = registry.counter("itb.sim.collisions");
-    mid.decode_failures = registry.counter("itb.sim.decode_failures");
-    mid.retries = registry.counter("itb.arq.retries");
-    mid.backoff = registry.counter("itb.arq.backoff_slots");
-    mid.delivered = registry.counter("itb.arq.messages_delivered");
-    mid.dropped = registry.counter("itb.arq.messages_dropped");
-    mid.downshifts = registry.counter("itb.rate.downshifts");
-    mid.upshifts = registry.counter("itb.rate.upshifts");
-    mid.brownouts = registry.counter("itb.faults.brownout_skips");
-    mid.outages = registry.counter("itb.faults.outage_skips");
-    mid.failovers = registry.counter("itb.faults.failover_polls");
-    mid.link_down = registry.counter("itb.faults.link_down_polls");
-    mid.latency = registry.histogram("itb.sim.poll_latency_us",
-                                     {1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8});
-    shard_cells.reserve(shards.size());
-    for (std::size_t si = 0; si < shards.size(); ++si) {
-      shard_cells.push_back(registry.make_cells());
-    }
-    if (capture->collect_trace) {
-      shard_tbuf.reserve(shards.size());
-      for (std::size_t si = 0; si < shards.size(); ++si) {
-        shard_tbuf.emplace_back(capture->trace_events_per_shard);
-      }
+  // Per-tag records exist only when the caller keeps them; streaming runs
+  // never allocate the O(tags) array.
+  std::vector<TagStats> per_tag(cfg_.keep_per_tag ? placement_.tags.size()
+                                                  : 0);
+  std::vector<ShardResult> shards(plan.shards.size());
+  std::vector<obs::TraceBuffer> traces;
+  if (capture != nullptr && capture->collect_trace) {
+    traces.reserve(plan.shards.size());
+    for (std::size_t si = 0; si < plan.shards.size(); ++si) {
+      traces.emplace_back(capture->trace_events_per_shard);
     }
   }
 
   itb::core::parallel_for(
-      shards.size(), cfg_.num_threads, [&](std::size_t si) {
+      plan.shards.size(), cfg_.num_threads, [&](std::size_t si) {
         static const std::size_t kZoneLoop = obs::prof_zone("sim.event_loop");
         const obs::ProfZone prof_loop(kZoneLoop);
-        const Shard& sh = shards[si];
-        const std::size_t g = sh.group;
-        const mac::ReservationOutcome& oc = outcome[g];
-        const double control_amortized_us =
-            oc.data_slots_per_event > 0.0
-                ? oc.control_overhead_us / oc.data_slots_per_event
-                : 0.0;
-        LatencyHistogram& latency = shard_latency[si];
-        LatencyHistogram& recovery = shard_recovery[si];
-        RetryHistogram& retries = shard_retries[si];
-        PollRing& ring = shard_trace[si];
-        obs::MetricCells* const cells =
-            capture != nullptr ? &shard_cells[si] : nullptr;
-        obs::TraceBuffer* const tbuf =
-            capture != nullptr && capture->collect_trace ? &shard_tbuf[si]
-                                                         : nullptr;
-        // Logical Perfetto tracks: one "process" per FDMA group, one
-        // "thread" per shard — functions of the topology, never of how
-        // shards were scheduled onto OS threads.
-        const auto pid = static_cast<std::uint32_t>(g + 1);
-        const auto tid = static_cast<std::uint32_t>(si + 1);
+        run_shard(plan, si, shards[si],
+                  traces.empty() ? nullptr : &traces[si], per_tag);
+      });
 
-        EventQueue queue;
-        // Schedule every poll this shard owns: tag at TDMA slot s, round r
-        // is queried at r*round + s*slot on its group's timeline. The event
-        // payload packs (slot << 32 | round) so handlers recover both.
-        for (std::size_t s = sh.begin; s < sh.end; ++s) {
-          const std::uint32_t tag = group_tags_[g][s];
-          for (std::size_t r = 0; r < cfg_.rounds; ++r) {
-            queue.schedule(
-                static_cast<double>(r) * round_us[g] +
-                    static_cast<double>(s) * slot_us,
-                EventType::kQuery, tag,
-                (static_cast<std::uint64_t>(s) << 32) | r);
-          }
-        }
+  static const std::size_t kZoneMerge = obs::prof_zone("sim.merge");
+  const obs::ProfZone prof_merge(kZoneMerge);
+  NetworkStats out = reduce(plan, shards, std::move(per_tag));
+  if (capture != nullptr) {
+    if (capture->collect_trace) {
+      export_trace(cfg_, plan, traces, capture->trace);
+    }
+    capture->metrics = export_metrics(out, capture->trace.dropped());
+  }
+  return out;
+}
 
-        // Shard-local per-tag accounting: written here, then either copied
-        // into the global per-tag array (keep_per_tag) or folded into this
-        // shard's ShardAgg block (streaming). Local slots also keep the hot
-        // loop's writes dense instead of group-strided across the fleet.
-        std::vector<TagStats> local(sh.end - sh.begin);
-        // Payload generation time of each tag's currently-pending payload
-        // (latency is measured from here to successful delivery; a failed
-        // poll retries the same payload next round).
-        std::vector<double> pending_since(sh.end - sh.begin, 0.0);
-        std::vector<ArqProgress> progress(sh.end - sh.begin);
-        for (ArqProgress& p : progress) {
-          p.fallback =
-              mac::RateFallbackController(cfg_.fallback, initial_waveform);
-        }
+void NetworkCoordinator::run_shard(const RunPlan& plan, std::size_t si,
+                                   ShardResult& res, obs::TraceBuffer* trace,
+                                   std::vector<TagStats>& per_tag) const {
+  const RunPlan::Shard& sh = plan.shards[si];
+  const std::size_t g = sh.group;
+  const RunPlan::Group& grp = plan.groups[g];
+  const ChannelStats& ch = channels_[g];
+  const ShardTracer tracer{trace, static_cast<std::uint32_t>(g + 1),
+                           static_cast<std::uint32_t>(si + 1),
+                           &plan.attempt_airtime_us};
+  const PollResolver resolver{cfg_.enable_arq, cfg_.arq, fragments_};
 
-        const auto record_trace = [&](double t_us, std::uint32_t tag,
-                                      std::uint64_t round, PollOutcome out,
-                                      mac::LinkWaveform wf, std::uint32_t ap,
-                                      bool retx) {
-          if (cfg_.keep_trace) {
-            ring.push({t_us, tag, static_cast<std::uint32_t>(round), out,
-                       static_cast<std::uint8_t>(wf), ap, retx},
-                      cfg_.trace_capacity);
-          }
-          if (tbuf != nullptr) {
-            // Outcomes that put energy on the air are spans (dur = attempt
-            // airtime on the active rung); skipped/silent slots are
-            // instants.
-            obs::TraceEvent e;
-            e.name = poll_outcome_name(out);
-            e.cat = "poll";
-            e.pid = pid;
-            e.tid = tid;
-            e.ts_us = static_cast<std::int64_t>(t_us);
-            const bool on_air = out == PollOutcome::kDelivered ||
-                                out == PollOutcome::kCollision ||
-                                out == PollOutcome::kDecodeFailure;
-            if (on_air) {
-              e.phase = obs::TracePhase::kSpan;
-              e.dur_us = static_cast<std::int64_t>(
-                  attempt_airtime_us[static_cast<std::size_t>(wf)]);
-            }
-            e.arg_name = "round";
-            e.arg = round;
-            e.sarg_name = "waveform";
-            e.sarg = mac::waveform_name(wf);
-            tbuf->push(e);
-            if (retx) tbuf->instant("arq.retx", "arq", pid, tid, e.ts_us);
-          }
-        };
-        // A skipped or failed poll opens a disruption window; the next
-        // delivered attempt closes it and records the recovery time.
-        const auto mark_disrupted = [](ArqProgress& st, double t_us) {
-          if (!st.disrupted) {
-            st.disrupted = true;
-            st.disrupted_since_us = t_us;
-          }
-        };
-        // Advances ARQ + fallback state for one resolved attempt. Pure
-        // per-tag fold: no RNG, no cross-tag state.
-        const auto resolve_attempt = [&](TagStats& ts, ArqProgress& st,
-                                         PollOutcome out, double t_us) {
-          const bool delivered = out == PollOutcome::kDelivered;
-          const mac::LinkWaveform prev_wf = st.fallback.current();
-          // Only SNR-driven outcomes move the fallback ladder: a busy
-          // channel (reservation denied) or an unheard query says nothing
-          // about the reply waveform, and dropping the rate would only
-          // lengthen the airtime it has to reserve.
-          if (delivered) {
-            st.fallback.on_success();
-          } else if (out == PollOutcome::kCollision ||
-                     out == PollOutcome::kDecodeFailure) {
-            st.fallback.on_failure();
-          }
-          if (tbuf != nullptr && st.fallback.current() != prev_wf) {
-            obs::TraceEvent e;
-            e.name = delivered ? "rate.upshift" : "rate.downshift";
-            e.cat = "rate";
-            e.pid = pid;
-            e.tid = tid;
-            e.ts_us = static_cast<std::int64_t>(t_us);
-            e.sarg_name = "waveform";
-            e.sarg = mac::waveform_name(st.fallback.current());
-            tbuf->push(e);
-          }
-          if (delivered) {
-            st.fail_streak = 0;
-            if (st.disrupted) {
-              recovery.record(t_us - st.disrupted_since_us);
-              st.disrupted = false;
-            }
-            if (!cfg_.enable_arq) {
-              ++ts.messages_delivered;
-              retries.record(1);
-              st.in_flight = false;
-              return;
-            }
-            ++st.frag;
-            st.frag_attempts = 0;
-            if (st.frag >= fragments_) {
-              ++ts.messages_delivered;
-              retries.record(st.msg_attempts);
-              st.in_flight = false;
-            }
-            return;
-          }
-          mark_disrupted(st, t_us);
-          if (!cfg_.enable_arq) {
-            ++ts.messages_dropped;
-            st.in_flight = false;
-            return;
-          }
-          ++st.fail_streak;
-          if (st.frag_attempts >= cfg_.arq.max_attempts ||
-              st.retx_used >= cfg_.arq.retry_budget) {
-            ++ts.messages_dropped;
-            st.in_flight = false;
-            return;
-          }
-          st.backoff_remaining = mac::backoff_slots(cfg_.arq, st.fail_streak);
-        };
+  EventQueue queue;
+  // Schedule every poll this shard owns: tag at TDMA slot s, round r is
+  // queried at r*round + s*slot on its group's timeline. The event payload
+  // packs (slot << 32 | round) so handlers recover both.
+  for (std::size_t s = sh.begin; s < sh.end; ++s) {
+    for (std::size_t r = 0; r < cfg_.rounds; ++r) {
+      queue.schedule(static_cast<double>(r) * grp.round_us +
+                         static_cast<double>(s) * plan.slot_us,
+                     EventType::kQuery, group_tags_[g][s],
+                     (static_cast<std::uint64_t>(s) << 32) | r);
+    }
+  }
 
-        while (!queue.empty()) {
-          const Event ev = queue.pop();
-          const std::uint32_t tag = ev.entity;
-          const std::uint64_t round = ev.data & 0xFFFFFFFFULL;
-          const auto slot =
-              static_cast<std::size_t>((ev.data >> 32) & 0x7FFFFFFFULL);
-          const std::size_t shard_slot = slot - sh.begin;
-          TagStats& ts = local[shard_slot];
-          ArqProgress& st = progress[shard_slot];
-          const TagLink& link = links_[tag];
+  // Shard-local, slot-indexed: the hot loop's writes stay dense instead of
+  // group-strided across the fleet.
+  std::vector<TagStats> local(sh.end - sh.begin);
+  std::vector<TagState> state(sh.end - sh.begin);
+  for (TagState& st : state) {
+    st.fallback = mac::RateFallbackController(
+        cfg_.fallback, mac::waveform_for_rate(cfg_.rate));
+  }
+  // Generation time of each tag's pending payload: latency runs from here
+  // to delivery, and a failed poll retries the same payload next round.
+  std::vector<double> pending_since(sh.end - sh.begin, 0.0);
 
-          if (ev.type == EventType::kQuery) {
-            ++ts.queries;
-            const mac::LinkWaveform wf = st.fallback.current();
+  while (!queue.empty()) {
+    const Event ev = queue.pop();
+    const std::uint32_t tag = ev.entity;
+    const std::uint64_t round = ev.data & 0xFFFFFFFFULL;
+    const std::size_t i =
+        static_cast<std::size_t>((ev.data >> 32) & 0x7FFFFFFFULL) - sh.begin;
+    TagStats& ts = local[i];
+    TagState& st = state[i];
+    const TagLink& link = links_[tag];
+    const mac::LinkWaveform wf = st.fallback.current();
+    const auto wi = static_cast<std::size_t>(wf);
+    PollOutcome out = PollOutcome::kDelivered;
+    std::uint32_t ap = link.ap;
+    double done_us = ev.time_us;
 
-            // Fault + policy gates, cheapest first. Skipped polls make no
-            // RNG draws; every (tag, round, phase) substream stays
-            // independent of the gates, so the digest contract holds.
-            if (link.link_down) {
-              ++ts.link_down_polls;
-              mark_disrupted(st, ev.time_us);
-              record_trace(ev.time_us, tag, round, PollOutcome::kLinkDown, wf,
-                           link.ap, false);
-              continue;
-            }
-            bool failover = false;
-            std::uint32_t serving_ap = link.ap;
-            if (timeline_.ap_down(link.ap, ev.time_us)) {
-              if (link.has_failover &&
-                  !timeline_.ap_down(link.failover_ap, ev.time_us)) {
-                failover = true;
-                serving_ap = link.failover_ap;
-              } else {
-                ++ts.outage_skips;
-                mark_disrupted(st, ev.time_us);
-                record_trace(ev.time_us, tag, round, PollOutcome::kApOutage,
-                             wf, link.ap, false);
-                continue;
-              }
-            }
-            if (timeline_.tag_browned_out(tag, ev.time_us)) {
-              ++ts.brownout_skips;
-              mark_disrupted(st, ev.time_us);
-              record_trace(ev.time_us, tag, round, PollOutcome::kBrownout, wf,
-                           serving_ap, false);
-              continue;
-            }
-            if (st.backoff_remaining > 0) {
-              --st.backoff_remaining;
-              ++ts.backoff_skips;
-              record_trace(ev.time_us, tag, round, PollOutcome::kBackoff, wf,
-                           serving_ap, false);
-              continue;
-            }
-
-            // This poll is a real delivery attempt.
-            if (!st.in_flight) {
-              st.in_flight = true;
-              st.frag = 0;
-              st.frag_attempts = 0;
-              st.msg_attempts = 0;
-              st.retx_used = 0;
-              ++ts.messages_offered;
-            }
-            const bool retx = cfg_.enable_arq && st.frag_attempts > 0;
-            if (retx) {
-              ++ts.retransmissions;
-              ++st.retx_used;
-            }
-            ++st.frag_attempts;
-            ++st.msg_attempts;
-            if (failover) ++ts.failover_polls;
-            if (st.fallback.degraded()) ++ts.fallback_polls;
-
-            auto rng = entity_stream(cfg_.seed, tag,
-                                     phase_counter(round, kQueryPhase));
-            const Real miss = failover ? link.failover_downlink_miss_prob
+    if (ev.type == EventType::kQuery) {
+      // Skipped polls make no RNG draws; every (tag, round, phase)
+      // substream stays independent of the gates, so the digest contract
+      // holds.
+      const PollStart start = resolver.start(
+          ts, st, gates_at(link, timeline_, tag, ev.time_us), ev.time_us);
+      if (start.failover) ap = link.failover_ap;
+      if (start.skipped) {
+        tracer.poll(ev.time_us, tag, round, *start.skipped, wf, ap, false);
+        continue;
+      }
+      auto rng =
+          entity_stream(cfg_.seed, tag, phase_counter(round, kQueryPhase));
+      const Real miss = start.failover ? link.failover_downlink_miss_prob
                                        : link.downlink_miss_prob;
-            if (rng.uniform() < miss) {
-              ++ts.downlink_misses;
-              record_trace(ev.time_us, tag, round, PollOutcome::kDownlinkMiss,
-                           wf, serving_ap, retx);
-              resolve_attempt(ts, st, PollOutcome::kDownlinkMiss, ev.time_us);
-              continue;
-            }
-            // The addressed tag replies mid-way through the advertising
-            // window that follows the query.
-            queue.schedule(ev.time_us + query_us +
-                               0.5 * cfg_.polling.advertising_interval_ms * 1e3,
-                           EventType::kReply, tag,
-                           ev.data | (failover ? kFailoverBit : 0));
-            continue;
-          }
-
-          // kReply: reservation outcome, then budget-level decode.
-          const bool failover = (ev.data & kFailoverBit) != 0;
-          const std::uint32_t serving_ap =
-              failover ? link.failover_ap : link.ap;
-          const mac::LinkWaveform wf = st.fallback.current();
-          const auto wi = static_cast<std::size_t>(wf);
-          const bool retx = cfg_.enable_arq && st.frag_attempts > 1;
-          auto rng =
-              entity_stream(cfg_.seed, tag, phase_counter(round, kReplyPhase));
-          ts.airtime_us += control_amortized_us;
-
-          // Interference bursts raise the CCA busy probability; the
-          // reservation closed form is cheap enough to re-solve live for
-          // the affected slots only.
-          const mac::ReservationOutcome* ocp = &oc;
-          mac::ReservationOutcome fault_oc;
-          const Real busy_boost =
-              timeline_.any() ? timeline_.channel_busy_boost(g, ev.time_us)
-                              : Real{0.0};
-          if (busy_boost > 0.0) {
-            mac::ReservationConfig rc;
-            rc.scheme = cfg_.reservation;
-            rc.channel_busy_probability = std::min(
-                channels_[g].busy_probability + busy_boost, Real{0.99});
-            rc.cts_detection_probability = cfg_.cts_detection_probability;
-            fault_oc = mac::reservation_outcome(rc);
-            ocp = &fault_oc;
-          }
-
-          const double u = rng.uniform();
-          if (u >= ocp->p_clean + ocp->p_collision) {
-            ++ts.reservation_denied;  // silent: reservation not granted
-            record_trace(ev.time_us, tag, round,
-                         PollOutcome::kReservationDenied, wf, serving_ap,
-                         retx);
-            resolve_attempt(ts, st, PollOutcome::kReservationDenied,
-                            ev.time_us);
-            continue;
-          }
-          ts.airtime_us += attempt_airtime_us[wi];
-          ts.tx_energy_nj += attempt_energy_nj[g][wi];
-          if (u >= ocp->p_clean) {
-            ++ts.collisions;
-            record_trace(ev.time_us, tag, round, PollOutcome::kCollision, wf,
-                         serving_ap, retx);
-            resolve_attempt(ts, st, PollOutcome::kCollision, ev.time_us);
-            continue;
-          }
+      if (rng.uniform() >= miss) {
+        // The addressed tag replies mid-way through the advertising window
+        // that follows the query.
+        queue.schedule(ev.time_us + plan.query_us +
+                           0.5 * cfg_.polling.advertising_interval_ms * 1e3,
+                       EventType::kReply, tag,
+                       ev.data | (start.failover ? kFailoverBit : 0));
+        continue;
+      }
+      out = PollOutcome::kDownlinkMiss;
+    } else {
+      // kReply: reservation outcome, then budget-level decode.
+      const bool failover = (ev.data & kFailoverBit) != 0;
+      if (failover) ap = link.failover_ap;
+      auto rng =
+          entity_stream(cfg_.seed, tag, phase_counter(round, kReplyPhase));
+      ts.airtime_us += grp.control_amortized_us;
+      // Interference bursts raise the CCA busy probability; the reservation
+      // closed form is cheap enough to re-solve live for the affected slots.
+      const Real busy_boost = timeline_.any()
+                                  ? timeline_.channel_busy_boost(g, ev.time_us)
+                                  : Real{0.0};
+      const Real busy = std::min(ch.busy_probability + busy_boost, 0.99);
+      const mac::ReservationOutcome oc =
+          busy_boost > 0.0 ? reservation_at(cfg_, busy) : grp.reservation;
+      const double u = rng.uniform();
+      if (u >= oc.p_clean + oc.p_collision) {
+        out = PollOutcome::kReservationDenied;  // silent: not granted
+      } else {
+        ts.airtime_us += plan.attempt_airtime_us[wi];
+        ts.tx_energy_nj += grp.attempt_energy_nj[wi];
+        if (u >= oc.p_clean) {
+          out = PollOutcome::kCollision;
+        } else {
           // Active noise-floor faults (bursts, slumps) force the PER back
           // through the closed form at the degraded SNR; clean slots use
           // the precomputed per-rung table.
           Real per = failover ? link.failover_waveform_per[wi]
                               : link.waveform_per[wi];
           const Real rise =
-              timeline_.any()
-                  ? timeline_.channel_noise_rise_db(g, ev.time_us)
-                  : Real{0.0};
+              timeline_.any() ? timeline_.channel_noise_rise_db(g, ev.time_us)
+                              : Real{0.0};
           if (rise > 0.0) {
             const Real snr = (failover ? link.failover_snr_db : link.snr_db) -
-                             channels_[g].leakage_noise_rise_db - rise;
+                             ch.leakage_noise_rise_db - rise;
             per = waveform_per_at(wf, snr, wire_bytes_);
           }
-          if (rng.uniform() < per) {
-            ++ts.decode_failures;
-            record_trace(ev.time_us, tag, round, PollOutcome::kDecodeFailure,
-                         wf, serving_ap, retx);
-            resolve_attempt(ts, st, PollOutcome::kDecodeFailure, ev.time_us);
-            continue;
-          }
-          ++ts.replies;
-          ts.payload_bits += cfg_.enable_arq ? frag_bits : payload_bits;
-          record_trace(ev.time_us, tag, round, PollOutcome::kDelivered, wf,
-                       serving_ap, retx);
-          const double done_us = ev.time_us + attempt_airtime_us[wi];
-          latency.record(done_us - pending_since[shard_slot]);
-          if (cells != nullptr) {
-            cells->observe(mid.latency, done_us - pending_since[shard_slot]);
-          }
-          pending_since[shard_slot] =
-              static_cast<double>(round + 1) * round_us[g];
-          resolve_attempt(ts, st, PollOutcome::kDelivered, done_us);
+          if (rng.uniform() < per) out = PollOutcome::kDecodeFailure;
         }
+      }
+      if (out == PollOutcome::kDelivered) {
+        ts.payload_bits += plan.delivered_bits;
+        done_us += plan.attempt_airtime_us[wi];
+        res.stats.query_latency.record(done_us - pending_since[i]);
+        pending_since[i] = static_cast<double>(round + 1) * grp.round_us;
+      }
+    }
 
-        // Static per-tag link annotations + deterministic harvest model.
-        for (std::size_t s = sh.begin; s < sh.end; ++s) {
-          const std::uint32_t tag = group_tags_[g][s];
-          TagStats& ts = local[s - sh.begin];
-          const ArqProgress& st = progress[s - sh.begin];
-          ts.tag_id = tag;
-          ts.wifi_channel = links_[tag].wifi_channel;
-          ts.helper = links_[tag].helper;
-          ts.ap = links_[tag].ap;
-          ts.snr_db =
-              links_[tag].snr_db - channels_[g].leakage_noise_rise_db;
-          ts.reply_per = links_[tag].reply_per;
-          ts.rate_downshifts = st.fallback.downshifts();
-          ts.rate_upshifts = st.fallback.upshifts();
-          // The helper advertises every interval for the whole timeline and
-          // illuminates all its tags — not just the one being polled — so
-          // harvest time is independent of fleet size; the AP's queries add
-          // the tag's own downlink illumination on top.
-          const double adv_events =
-              channels_[g].elapsed_us /
-              (cfg_.polling.advertising_interval_ms * 1e3);
-          ts.harvest_us = adv_events * 3.0 * kAdvPacketUs +
-                          static_cast<double>(ts.queries) * query_us;
-          // Metrics flush: counters derive from the TagStats this shard
-          // just finished writing, so the hot loop pays nothing for them.
-          if (cells != nullptr) {
-            cells->add(mid.polls, ts.queries);
-            cells->add(mid.replies, ts.replies);
-            cells->add(mid.downlink_misses, ts.downlink_misses);
-            cells->add(mid.reservation_denied, ts.reservation_denied);
-            cells->add(mid.collisions, ts.collisions);
-            cells->add(mid.decode_failures, ts.decode_failures);
-            cells->add(mid.retries, ts.retransmissions);
-            cells->add(mid.backoff, ts.backoff_skips);
-            cells->add(mid.delivered, ts.messages_delivered);
-            cells->add(mid.dropped, ts.messages_dropped);
-            cells->add(mid.downshifts, ts.rate_downshifts);
-            cells->add(mid.upshifts, ts.rate_upshifts);
-            cells->add(mid.brownouts, ts.brownout_skips);
-            cells->add(mid.outages, ts.outage_skips);
-            cells->add(mid.failovers, ts.failover_polls);
-            cells->add(mid.link_down, ts.link_down_polls);
-          }
-        }
+    tracer.poll(ev.time_us, tag, round, out, wf, ap,
+                resolver.retransmission(st));
+    const AttemptEnd end = resolver.finish(ts, st, out, done_us);
+    if (end.delivered_after > 0) {
+      res.stats.retry_histogram.record(end.delivered_after);
+    }
+    if (end.recovered_after_us) {
+      res.stats.recovery_time.record(*end.recovered_after_us);
+    }
+    if (st.fallback.current() != wf) {
+      tracer.rate_shift(done_us, out == PollOutcome::kDelivered,
+                        st.fallback.current());
+    }
+  }
 
-        if (cfg_.keep_per_tag) {
-          // Copy into the tag-indexed global array: the reduction below and
-          // out.per_tag read the exact values the old global-array path
-          // produced, so digests are bit-identical.
-          for (std::size_t s = sh.begin; s < sh.end; ++s) {
-            tag_stats[group_tags_[g][s]] = local[s - sh.begin];
-          }
-        } else {
-          // Streaming: fold this shard's tags into its aggregate block in
-          // slot order. elapsed/shift are per-group constants, so the fold
-          // computes the same per-tag terms the reduction loop would.
-          ShardAgg& agg = shard_agg[si];
-          const double elapsed = channels_[g].elapsed_us;
-          const Real shift_hz =
-              itb::ble::wifi_channel_hz(cfg_.wifi_channels[g]) - ble_hz;
-          for (const TagStats& ts : local) {
-            agg.queries += ts.queries;
-            agg.replies += ts.replies;
-            agg.downlink_misses += ts.downlink_misses;
-            agg.reservation_denied += ts.reservation_denied;
-            agg.collisions += ts.collisions;
-            agg.decode_failures += ts.decode_failures;
-            agg.messages_offered += ts.messages_offered;
-            agg.messages_delivered += ts.messages_delivered;
-            agg.messages_dropped += ts.messages_dropped;
-            agg.retransmissions += ts.retransmissions;
-            agg.backoff_skips += ts.backoff_skips;
-            agg.brownout_skips += ts.brownout_skips;
-            agg.outage_skips += ts.outage_skips;
-            agg.link_down_polls += ts.link_down_polls;
-            agg.failover_polls += ts.failover_polls;
-            agg.fallback_polls += ts.fallback_polls;
-            agg.payload_bits += ts.payload_bits;
-            agg.tx_energy_nj += ts.tx_energy_nj;
-            agg.sum_tag_goodput +=
-                mac::safe_goodput_kbps(ts.payload_bits, elapsed);
-            const double airtime_duty =
-                elapsed > 0.0 ? ts.airtime_us / elapsed : 0.0;
-            const double harvest_duty =
-                elapsed > 0.0 ? ts.harvest_us / elapsed : 0.0;
-            agg.sum_airtime_duty += airtime_duty;
-            agg.sum_harvest_duty += harvest_duty;
-            agg.sum_power_uw += power.average_power_uw(
-                cfg_.rate, std::abs(shift_hz), std::min(airtime_duty, 1.0));
-          }
-        }
-      });
+  fold_shard(plan, si, state, local, res, per_tag);
+}
 
-  // --- sequential, index-ordered reduction (thread-count invariant) --------
-  static const std::size_t kZoneMerge = obs::prof_zone("sim.merge");
-  const obs::ProfZone prof_merge(kZoneMerge);
+void NetworkCoordinator::fold_shard(const RunPlan& plan, std::size_t si,
+                                    const std::vector<TagState>& state,
+                                    std::vector<TagStats>& local,
+                                    ShardResult& res,
+                                    std::vector<TagStats>& per_tag) const {
+  const RunPlan::Shard& sh = plan.shards[si];
+  const ChannelStats& ch = channels_[sh.group];
+  // The helper advertises every interval for the whole timeline and
+  // illuminates all its tags — not just the one being polled — so harvest
+  // time is independent of fleet size; the AP's queries add the tag's own
+  // downlink illumination on top.
+  const double adv_events =
+      ch.elapsed_us / (cfg_.polling.advertising_interval_ms * 1e3);
+  const itb::backscatter::IcPowerModel power(cfg_.ic_power);
+  for (std::size_t i = 0; i < local.size(); ++i) {
+    const std::uint32_t tag = group_tags_[sh.group][sh.begin + i];
+    const TagLink& link = links_[tag];
+    TagStats& ts = local[i];
+    ts.tag_id = tag;
+    ts.wifi_channel = link.wifi_channel;
+    ts.helper = link.helper;
+    ts.ap = link.ap;
+    ts.snr_db = link.snr_db - ch.leakage_noise_rise_db;
+    ts.reply_per = link.reply_per;
+    ts.rate_downshifts = state[i].fallback.downshifts();
+    ts.rate_upshifts = state[i].fallback.upshifts();
+    ts.harvest_us = adv_events * 3.0 * kAdvPacketUs +
+                    static_cast<double>(ts.queries) * plan.query_us;
+    for (const Counter& c : kCounters) res.stats.*c.total += ts.*c.tag;
+    res.sums.add(ts, ch.elapsed_us, plan.groups[sh.group].shift_hz, power,
+                 cfg_.rate);
+    if (cfg_.keep_per_tag) per_tag[tag] = ts;
+  }
+}
+
+NetworkStats NetworkCoordinator::reduce(const RunPlan& plan,
+                                        const std::vector<ShardResult>& shards,
+                                        std::vector<TagStats> per_tag) const {
   NetworkStats out;
-  out.num_tags = n;
-  out.num_channels = num_groups;
+  out.num_tags = placement_.tags.size();
+  out.num_channels = channels_.size();
   out.channels = channels_;
   for (ChannelStats& ch : out.channels) {
     ch.replies = 0;
     ch.collisions = 0;
-  }
-  for (const LatencyHistogram& h : shard_latency) out.query_latency.merge(h);
-  for (const LatencyHistogram& h : shard_recovery) out.recovery_time.merge(h);
-  for (const RetryHistogram& h : shard_retries) out.retry_histogram.merge(h);
-  if (cfg_.keep_trace) {
-    std::uint64_t emitted = 0;
-    for (const PollRing& r : shard_trace) {
-      emitted += r.emitted;
-      for (std::size_t i = 0; i < r.ring.size(); ++i) {
-        out.trace.push_back(r.ring[(r.head + i) % r.ring.size()]);
-      }
-    }
-    // Shard order is per-group slot order; re-sort into one global
-    // timeline. (time, tag, round) is a total order over poll records.
-    std::sort(out.trace.begin(), out.trace.end(),
-              [](const PollRecord& a, const PollRecord& b) {
-                if (a.time_us != b.time_us) return a.time_us < b.time_us;
-                if (a.tag != b.tag) return a.tag < b.tag;
-                return a.round < b.round;
-              });
-    // Per-shard rings bound memory during the run; this global trim makes
-    // the kept window a pure function of the config (the same newest
-    // trace_capacity records at any thread count).
-    if (cfg_.trace_capacity > 0 && out.trace.size() > cfg_.trace_capacity) {
-      out.trace.erase(out.trace.begin(),
-                      out.trace.begin() +
-                          static_cast<std::ptrdiff_t>(out.trace.size() -
-                                                      cfg_.trace_capacity));
-    }
-    out.trace_dropped = emitted - out.trace.size();
+    out.elapsed_us = std::max(out.elapsed_us, ch.elapsed_us);
   }
 
-  double total_bits = 0.0;
-  double sum_tag_goodput = 0.0;
-  double sum_airtime_duty = 0.0;
-  double sum_harvest_duty = 0.0;
-  double sum_power_uw = 0.0;
-  double total_energy_nj = 0.0;
-  for (std::size_t g = 0; g < num_groups; ++g) {
-    out.elapsed_us = std::max(out.elapsed_us, channels_[g].elapsed_us);
+  // Sequential and index-ordered, so thread-count invariant. Streaming
+  // merges the shards' own sums; keep_per_tag folds every tag into one
+  // running Sums instead, in the same group-major slot order.
+  Sums sums;
+  for (std::size_t si = 0; si < shards.size(); ++si) {
+    const NetworkStats& part = shards[si].stats;
+    for (const Counter& c : kCounters) out.*c.total += part.*c.total;
+    out.query_latency.merge(part.query_latency);
+    out.recovery_time.merge(part.recovery_time);
+    out.retry_histogram.merge(part.retry_histogram);
+    ChannelStats& ch = out.channels[plan.shards[si].group];
+    ch.replies += part.replies_received;
+    ch.collisions += part.collisions;
+    if (!cfg_.keep_per_tag) sums.merge(shards[si].sums);
   }
   if (cfg_.keep_per_tag) {
-    for (std::size_t g = 0; g < num_groups; ++g) {
-      const double elapsed = channels_[g].elapsed_us;
-      const Real shift_hz =
-          itb::ble::wifi_channel_hz(cfg_.wifi_channels[g]) - ble_hz;
-      for (const std::uint32_t t : group_tags_[g]) {
-        const TagStats& ts = tag_stats[t];
-        out.queries_sent += ts.queries;
-        out.replies_received += ts.replies;
-        out.downlink_misses += ts.downlink_misses;
-        out.reservation_denied += ts.reservation_denied;
-        out.collisions += ts.collisions;
-        out.decode_failures += ts.decode_failures;
-        out.messages_offered += ts.messages_offered;
-        out.messages_delivered += ts.messages_delivered;
-        out.messages_dropped += ts.messages_dropped;
-        out.retransmissions += ts.retransmissions;
-        out.backoff_skips += ts.backoff_skips;
-        out.brownout_skips += ts.brownout_skips;
-        out.outage_skips += ts.outage_skips;
-        out.link_down_polls += ts.link_down_polls;
-        out.failover_polls += ts.failover_polls;
-        out.fallback_polls += ts.fallback_polls;
-        out.channels[g].replies += ts.replies;
-        out.channels[g].collisions += ts.collisions;
-        total_bits += ts.payload_bits;
-        total_energy_nj += ts.tx_energy_nj;
-        sum_tag_goodput += mac::safe_goodput_kbps(ts.payload_bits, elapsed);
-        const double airtime_duty =
-            elapsed > 0.0 ? ts.airtime_us / elapsed : 0.0;
-        const double harvest_duty =
-            elapsed > 0.0 ? ts.harvest_us / elapsed : 0.0;
-        sum_airtime_duty += airtime_duty;
-        sum_harvest_duty += harvest_duty;
-        sum_power_uw += power.average_power_uw(cfg_.rate, std::abs(shift_hz),
-                                               std::min(airtime_duty, 1.0));
+    const itb::backscatter::IcPowerModel power(cfg_.ic_power);
+    for (const RunPlan::Shard& sh : plan.shards) {
+      for (std::size_t s = sh.begin; s < sh.end; ++s) {
+        sums.add(per_tag[group_tags_[sh.group][s]],
+                 channels_[sh.group].elapsed_us,
+                 plan.groups[sh.group].shift_hz, power, cfg_.rate);
       }
     }
-  } else {
-    // Streaming merge: shard blocks in index order. The shard list is built
-    // group-major (same order the per-tag loop above walks), and the
-    // partition is fixed by shard_tags, so the merged totals are identical
-    // at any thread count.
-    for (std::size_t si = 0; si < shards.size(); ++si) {
-      const ShardAgg& agg = shard_agg[si];
-      out.queries_sent += agg.queries;
-      out.replies_received += agg.replies;
-      out.downlink_misses += agg.downlink_misses;
-      out.reservation_denied += agg.reservation_denied;
-      out.collisions += agg.collisions;
-      out.decode_failures += agg.decode_failures;
-      out.messages_offered += agg.messages_offered;
-      out.messages_delivered += agg.messages_delivered;
-      out.messages_dropped += agg.messages_dropped;
-      out.retransmissions += agg.retransmissions;
-      out.backoff_skips += agg.backoff_skips;
-      out.brownout_skips += agg.brownout_skips;
-      out.outage_skips += agg.outage_skips;
-      out.link_down_polls += agg.link_down_polls;
-      out.failover_polls += agg.failover_polls;
-      out.fallback_polls += agg.fallback_polls;
-      out.channels[shards[si].group].replies += agg.replies;
-      out.channels[shards[si].group].collisions += agg.collisions;
-      total_bits += agg.payload_bits;
-      total_energy_nj += agg.tx_energy_nj;
-      sum_tag_goodput += agg.sum_tag_goodput;
-      sum_airtime_duty += agg.sum_airtime_duty;
-      sum_harvest_duty += agg.sum_harvest_duty;
-      sum_power_uw += agg.sum_power_uw;
-    }
   }
+
   out.aggregate_goodput_kbps =
-      mac::safe_goodput_kbps(total_bits, out.elapsed_us);
+      mac::safe_goodput_kbps(sums.payload_bits, out.elapsed_us);
   const std::uint64_t completed = out.messages_delivered + out.messages_dropped;
   if (completed > 0) {
     out.delivery_ratio = static_cast<double>(out.messages_delivered) /
                          static_cast<double>(completed);
   }
-  if (total_bits > 0.0) {
-    out.energy_per_delivered_byte_nj = total_energy_nj / (total_bits / 8.0);
+  if (sums.payload_bits > 0.0) {
+    out.energy_per_delivered_byte_nj =
+        sums.tx_energy_nj / (sums.payload_bits / 8.0);
   }
-  if (n > 0) {
-    const auto dn = static_cast<double>(n);
-    out.mean_tag_goodput_kbps = sum_tag_goodput / dn;
-    out.mean_airtime_duty = sum_airtime_duty / dn;
-    out.mean_harvest_duty = sum_harvest_duty / dn;
-    out.mean_tag_power_uw = sum_power_uw / dn;
+  if (out.num_tags > 0) {
+    const auto dn = static_cast<double>(out.num_tags);
+    out.mean_tag_goodput_kbps = sums.tag_goodput_kbps / dn;
+    out.mean_airtime_duty = sums.airtime_duty / dn;
+    out.mean_harvest_duty = sums.harvest_duty / dn;
+    out.mean_tag_power_uw = sums.power_uw / dn;
   }
-  if (cfg_.keep_per_tag) out.per_tag = std::move(tag_stats);
-
-  if (capture != nullptr) {
-    if (capture->collect_trace) {
-      for (std::size_t g = 0; g < num_groups; ++g) {
-        capture->trace.set_process_name(
-            static_cast<std::uint32_t>(g + 1),
-            "wifi-ch" + std::to_string(cfg_.wifi_channels[g]));
-      }
-      for (std::size_t si = 0; si < shards.size(); ++si) {
-        capture->trace.set_thread_name(
-            static_cast<std::uint32_t>(shards[si].group + 1),
-            static_cast<std::uint32_t>(si + 1),
-            "shard " + std::to_string(si) + " slots[" +
-                std::to_string(shards[si].begin) + "," +
-                std::to_string(shards[si].end) + ")");
-      }
-      // Fault windows get their own process so an AP reboot or microwave
-      // burst reads as a span directly above the polls it disrupts.
-      if (!cfg_.faults.empty()) {
-        const auto fault_pid = static_cast<std::uint32_t>(num_groups + 1);
-        capture->trace.set_process_name(fault_pid, "faults");
-        capture->trace.set_thread_name(fault_pid, 1, "timeline");
-        for (const FaultEvent& fe : cfg_.faults.events) {
-          obs::TraceEvent e;
-          e.name = fault_kind_name(fe.kind);
-          e.cat = "fault";
-          e.phase = obs::TracePhase::kSpan;
-          e.pid = fault_pid;
-          e.tid = 1;
-          e.ts_us = static_cast<std::int64_t>(fe.start_us);
-          e.dur_us = static_cast<std::int64_t>(fe.duration_us);
-          e.arg_name = "entity";
-          e.arg = fe.entity;
-          capture->trace.push(e);
-        }
-      }
-      for (const obs::TraceBuffer& b : shard_tbuf) capture->trace.absorb(b);
-      capture->trace.finalize();
-    }
-    capture->metrics = registry.merge(shard_cells);
-    capture->metrics.append_counter("itb.sim.trace_records_dropped",
-                                    out.trace_dropped);
-    capture->metrics.append_counter("itb.trace.events_dropped",
-                                    capture->trace.dropped());
-    capture->metrics.append_gauge("itb.sim.elapsed_us", out.elapsed_us);
-    capture->metrics.append_gauge("itb.sim.goodput_kbps",
-                                  out.aggregate_goodput_kbps);
-    capture->metrics.append_gauge("itb.sim.delivery_ratio",
-                                  out.delivery_ratio);
-  }
+  out.per_tag = std::move(per_tag);
   return out;
 }
 

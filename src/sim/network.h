@@ -65,12 +65,14 @@
 #include "mac/query_reply.h"
 #include "mac/reservation.h"
 #include "sim/faults.h"
+#include "sim/poll_resolver.h"
 #include "sim/stats.h"
 #include "sim/topology.h"
 #include "wifi/rates.h"
 
 namespace itb::obs {
 struct RunCapture;
+class TraceBuffer;
 }  // namespace itb::obs
 
 namespace itb::sim {
@@ -123,15 +125,6 @@ struct NetworkConfig {
   /// Reassign tags of a downed AP to their precomputed next-nearest live
   /// AP instead of skipping their polls.
   bool ap_failover = false;
-  /// Collect a per-poll PollRecord trace (golden fault-timeline tests,
-  /// demos). Costs memory; excluded from digest().
-  bool keep_trace = false;
-  /// Upper bound on the kept PollRecord trace (0 = unbounded). When the
-  /// run emits more records, the *oldest* are dropped and counted in
-  /// NetworkStats::trace_dropped — a long fault night degrades to "the
-  /// most recent window" instead of unbounded memory. Never affects
-  /// digest().
-  std::size_t trace_capacity = 0;
   // --- execution -------------------------------------------------------
   std::uint64_t seed = 1;
   /// Worker threads for the shard fan-out; 0 = all hardware threads.
@@ -171,6 +164,38 @@ struct TagLink {
   std::array<Real, mac::kNumLinkWaveforms> failover_waveform_per{};
 };
 
+/// Everything run() fixes before the shard fan-out: a pure function of the
+/// coordinator's plan-time state (config, channel plan, FDMA groups), never
+/// of num_threads.
+struct RunPlan {
+  struct Group {
+    /// Reservation closed form at the group's busy probability.
+    mac::ReservationOutcome reservation;
+    double round_us = 0.0;  ///< one TDMA round: every tag polled once
+    /// Reservation control airtime charged to each reply.
+    double control_amortized_us = 0.0;
+    Real shift_hz = 0.0;  ///< |SSB shift| from the BLE carrier
+    /// IC transmit energy of one attempt per waveform rung (nJ).
+    std::array<double, mac::kNumLinkWaveforms> attempt_energy_nj{};
+  };
+  /// A contiguous TDMA-slot range [begin, end) of one group.
+  struct Shard {
+    std::size_t group = 0;
+    std::size_t begin = 0;
+    std::size_t end = 0;
+  };
+
+  double slot_us = 0.0;
+  double query_us = 0.0;  ///< downlink query airtime
+  /// Application bits one delivered attempt carries (a fragment's share
+  /// with ARQ; the framing bytes are overhead, not goodput).
+  double delivered_bits = 0.0;
+  std::array<double, mac::kNumLinkWaveforms> attempt_airtime_us{};
+  std::vector<Group> groups;  ///< per FDMA group
+  /// Fixed partition, group-major: shard_tags slots per shard.
+  std::vector<Shard> shards;
+};
+
 /// One sampled link re-run at waveform level next to its budget prediction.
 struct SpotCheckResult {
   std::uint32_t tag_id = 0;
@@ -190,12 +215,15 @@ class NetworkCoordinator {
   /// Runs the full FDMA x TDMA simulation. Bit-identical for a fixed config
   /// at any num_threads.
   ///
-  /// `capture` (optional) attaches the obs layer: sim-time trace events
-  /// and a metrics snapshot, both collected per shard and merged in
-  /// shard-index order, so they inherit the same thread-count-invariance
-  /// as the stats themselves (tests/obs_test.cpp). Null = no observation
+  /// `capture` (optional) attaches the obs layer: sim-time trace events,
+  /// collected per shard and merged in shard-index order, and a metrics
+  /// snapshot exported from the returned stats, so both inherit the stats'
+  /// thread-count invariance (tests/obs_test.cpp). Null = no observation
   /// work beyond one branch per hook.
   NetworkStats run(obs::RunCapture* capture = nullptr) const;
+
+  /// The plan run() executes.
+  RunPlan plan() const;
 
   /// Re-simulates `links` deterministically-sampled tag links through the
   /// waveform pipeline (core::InterscatterSystem) and compares the decode
@@ -215,6 +243,22 @@ class NetworkCoordinator {
   std::size_t fragments_per_message() const { return fragments_; }
 
  private:
+  struct ShardResult;  ///< one shard's share of the run's NetworkStats
+
+  /// Runs shard `si`'s event loop into `res` (and its slots of `per_tag`,
+  /// when kept).
+  void run_shard(const RunPlan& plan, std::size_t si, ShardResult& res,
+                 obs::TraceBuffer* trace, std::vector<TagStats>& per_tag) const;
+  /// Completes the shard's per-tag stats and folds them into `res`.
+  void fold_shard(const RunPlan& plan, std::size_t si,
+                  const std::vector<TagState>& state,
+                  std::vector<TagStats>& local, ShardResult& res,
+                  std::vector<TagStats>& per_tag) const;
+  /// Ordered merge of the shards (and per-tag stats, when kept).
+  NetworkStats reduce(const RunPlan& plan,
+                      const std::vector<ShardResult>& shards,
+                      std::vector<TagStats> per_tag) const;
+
   NetworkConfig cfg_;
   Placement placement_;
   std::vector<TagLink> links_;          ///< indexed by tag id

@@ -38,8 +38,9 @@ double LatencyHistogram::mean_us() const {
 double LatencyHistogram::quantile_us(double q) const {
   if (total == 0) return 0.0;
   q = std::clamp(q, 0.0, 1.0);
-  const auto target = static_cast<std::uint64_t>(
-      std::ceil(q * static_cast<double>(total)));
+  // At least one sample: q = 0 names the first occupied bin, not bin 0.
+  const auto target = std::max<std::uint64_t>(
+      1, static_cast<std::uint64_t>(std::ceil(q * static_cast<double>(total))));
   std::uint64_t seen = 0;
   for (std::size_t b = 0; b < kBins; ++b) {
     seen += counts[b];

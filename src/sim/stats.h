@@ -59,7 +59,8 @@ struct RetryHistogram {
   double mean_attempts() const;
 };
 
-/// How one TDMA poll slot resolved (per-poll trace + outcome taxonomy).
+/// How one TDMA poll slot resolved (outcome taxonomy; names the poll
+/// trace events).
 enum class PollOutcome : std::uint8_t {
   kDelivered = 0,         ///< fragment decoded at the AP
   kDownlinkMiss = 1,      ///< tag never heard the query
@@ -72,18 +73,6 @@ enum class PollOutcome : std::uint8_t {
   kLinkDown = 8,          ///< budget declared the link dead (channel::link)
 };
 const char* poll_outcome_name(PollOutcome o);
-
-/// One polling-slot record, collected only when NetworkConfig::keep_trace
-/// is set (golden fault-timeline tests, demos). Not part of digest().
-struct PollRecord {
-  double time_us = 0.0;
-  std::uint32_t tag = 0;
-  std::uint32_t round = 0;
-  PollOutcome outcome = PollOutcome::kDelivered;
-  std::uint8_t waveform = 0;  ///< mac::LinkWaveform in effect for the poll
-  std::uint32_t ap = 0;       ///< AP that served (or would have served) it
-  bool retransmission = false;
-};
 
 /// Per-tag accounting, written by exactly one shard (disjoint slots).
 struct TagStats {
@@ -174,15 +163,14 @@ struct NetworkStats {
   double energy_per_delivered_byte_nj = 0.0;
   std::vector<ChannelStats> channels;
   std::vector<TagStats> per_tag;  ///< empty when NetworkConfig::keep_per_tag off
-  std::vector<PollRecord> trace;  ///< only when NetworkConfig::keep_trace
-  /// PollRecords dropped (oldest-first) to honor NetworkConfig::
-  /// trace_capacity. Like the trace itself, excluded from digest(): the
-  /// trace knobs must never change the result identity.
-  std::uint64_t trace_dropped = 0;
+  /// Fleet totals of the per-tag fallback ladder moves. Not mixed into
+  /// digest(), whose pinned values predate them; per_tag carries them.
+  std::uint64_t rate_downshifts = 0;
+  std::uint64_t rate_upshifts = 0;
 
-  /// FNV-1a hash over every field except the trace (doubles by bit
-  /// pattern, vectors in index order). Two runs are bit-identical iff
-  /// their digests match.
+  /// FNV-1a hash over every field except the rate-shift totals (doubles
+  /// by bit pattern, vectors in index order). Two runs are bit-identical
+  /// iff their digests match.
   std::uint64_t digest() const;
 };
 

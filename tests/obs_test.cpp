@@ -1,15 +1,15 @@
-// Observability-layer suite (ctest -L obs): the metrics registry and trace
+// Observability-layer suite (ctest -L obs): the metrics snapshot and trace
 // log must be bit-identical at any thread count and byte-identical across
-// repeat exports, the trace JSON must actually parse, histogram bucket
-// edges must follow the Prometheus `le` convention, ProfZone must account
-// self vs child time, and the PollRecord ring must drop oldest-first
-// without touching the digest.
+// repeat exports, the snapshot must equal the NetworkStats it exports, the
+// trace JSON must actually parse, histogram buckets must follow the
+// Prometheus `le` convention, and ProfZone must account self vs child time.
 #include <cctype>
 #include <map>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -201,7 +201,6 @@ sim::NetworkConfig ward_config() {
   cfg.enable_arq = true;
   cfg.fallback.enable_rate_fallback = true;
   cfg.ap_failover = true;
-  cfg.keep_trace = true;
   cfg.faults.ap_outage(0, 1e6, 2e6);
   cfg.faults.interference(6, 2e6, 1e6, 18.0);
   cfg.faults.brownout(5, 5e5, 5e5);
@@ -227,41 +226,19 @@ std::string trace_json(const obs::TraceLog& log) {
 }
 
 // --------------------------------------------------------------------------
-// Metrics registry
+// Metrics snapshot
 // --------------------------------------------------------------------------
 
-TEST(MetricsRegistryTest, RegistrationIsIdempotentAndTypeChecked) {
-  obs::MetricsRegistry reg;
-  const obs::MetricId a = reg.counter("itb.test.a");
-  EXPECT_EQ(reg.counter("itb.test.a"), a);
-  EXPECT_NE(reg.gauge("itb.test.b"), a);
-  EXPECT_THROW(reg.gauge("itb.test.a"), std::invalid_argument);
-  EXPECT_THROW(reg.histogram("itb.test.h", {}), std::invalid_argument);
-  EXPECT_THROW(reg.histogram("itb.test.h", {2.0, 1.0}), std::invalid_argument);
-  EXPECT_THROW(reg.histogram("itb.test.h", {1.0, 1.0}), std::invalid_argument);
-}
-
-TEST(MetricsRegistryTest, HistogramBucketEdgesFollowLeConvention) {
-  obs::MetricsRegistry reg;
-  const obs::MetricId h = reg.histogram("itb.test.h", {1.0, 2.0, 5.0});
-  obs::MetricCells cells = reg.make_cells();
-  // Bucket i counts v <= edge[i] (first matching bucket), overflow past the
-  // last edge — the Prometheus `le` convention, non-cumulative storage.
-  cells.observe(h, 0.5);   // bucket 0
-  cells.observe(h, 1.0);   // bucket 0 (inclusive upper edge)
-  cells.observe(h, 1.5);   // bucket 1
-  cells.observe(h, 5.0);   // bucket 2
-  cells.observe(h, 7.0);   // overflow
-  const obs::MetricsSnapshot snap = reg.merge({cells});
+TEST(MetricsSnapshotTest, HistogramBucketsFollowPrometheusLe) {
+  obs::MetricsSnapshot snap;
+  // Non-cumulative storage: 2 samples <= 1, 1 in (1, 2], 1 in (2, 5], one
+  // past the last edge.
+  snap.append_histogram("itb.test.h", {1.0, 2.0, 5.0}, {2, 1, 1, 1}, 15.0);
   const obs::MetricValue* m = snap.find("itb.test.h");
   ASSERT_NE(m, nullptr);
+  EXPECT_EQ(m->kind, obs::MetricKind::kHistogram);
   EXPECT_EQ(m->count, 5u);
-  EXPECT_DOUBLE_EQ(m->value, 0.5 + 1.0 + 1.5 + 5.0 + 7.0);
-  ASSERT_EQ(m->buckets.size(), 4u);
-  EXPECT_EQ(m->buckets[0], 2u);
-  EXPECT_EQ(m->buckets[1], 1u);
-  EXPECT_EQ(m->buckets[2], 1u);
-  EXPECT_EQ(m->buckets[3], 1u);
+  EXPECT_DOUBLE_EQ(m->value, 15.0);
 
   // The Prometheus writer emits the cumulative form.
   const std::string prom = metrics_prom(snap);
@@ -270,24 +247,15 @@ TEST(MetricsRegistryTest, HistogramBucketEdgesFollowLeConvention) {
   EXPECT_NE(prom.find("itb_test_h_bucket{le=\"5\"} 4"), std::string::npos);
   EXPECT_NE(prom.find("itb_test_h_bucket{le=\"+Inf\"} 5"), std::string::npos);
   EXPECT_NE(prom.find("itb_test_h_count 5"), std::string::npos);
-}
 
-TEST(MetricsRegistryTest, MergeSumsCountersAndKeepsLastGaugeInShardOrder) {
-  obs::MetricsRegistry reg;
-  const obs::MetricId c = reg.counter("itb.test.c");
-  const obs::MetricId g = reg.gauge("itb.test.g");
-  obs::MetricCells s0 = reg.make_cells();
-  obs::MetricCells s1 = reg.make_cells();
-  obs::MetricCells s2 = reg.make_cells();
-  s0.add(c, 3);
-  s2.add(c, 4);
-  s0.set(g, 1.0);
-  s1.set(g, 2.0);
-  // s2 never sets the gauge: the merged value is the last *set* in shard
-  // order, not the last shard.
-  const obs::MetricsSnapshot snap = reg.merge({s0, s1, s2});
-  EXPECT_EQ(snap.counter_value("itb.test.c"), 7u);
-  EXPECT_DOUBLE_EQ(snap.gauge_value("itb.test.g"), 2.0);
+  EXPECT_THROW(snap.append_histogram("itb.test.e", {}, {1}, 0.0),
+               std::invalid_argument);
+  EXPECT_THROW(snap.append_histogram("itb.test.d", {2.0, 1.0}, {0, 0, 0}, 0.0),
+               std::invalid_argument);
+  EXPECT_THROW(snap.append_histogram("itb.test.t", {1.0, 1.0}, {0, 0, 0}, 0.0),
+               std::invalid_argument);
+  EXPECT_THROW(snap.append_histogram("itb.test.b", {1.0, 2.0}, {0, 0}, 0.0),
+               std::invalid_argument);
 }
 
 // --------------------------------------------------------------------------
@@ -357,19 +325,43 @@ TEST(NetworkCaptureTest, SnapshotAndTraceAreThreadCountInvariant) {
     prom_exports.push_back(metrics_prom(capture.metrics));
     trace_exports.push_back(trace_json(capture.trace));
 
-    // The snapshot agrees with the stats it observed.
-    EXPECT_EQ(capture.metrics.counter_value("itb.sim.polls_total"),
-              s.queries_sent);
-    EXPECT_EQ(capture.metrics.counter_value("itb.sim.replies_total"),
-              s.replies_received);
-    EXPECT_EQ(capture.metrics.counter_value("itb.arq.retries"),
-              s.retransmissions);
-    EXPECT_EQ(capture.metrics.counter_value("itb.faults.outage_skips"),
-              s.outage_skips);
+    // The snapshot is an export of the stats it observed.
+    const std::pair<const char*, std::uint64_t> counters[] = {
+        {"itb.sim.polls_total", s.queries_sent},
+        {"itb.sim.replies_total", s.replies_received},
+        {"itb.sim.downlink_misses", s.downlink_misses},
+        {"itb.sim.reservation_denied", s.reservation_denied},
+        {"itb.sim.collisions", s.collisions},
+        {"itb.sim.decode_failures", s.decode_failures},
+        {"itb.arq.retries", s.retransmissions},
+        {"itb.arq.backoff_slots", s.backoff_skips},
+        {"itb.arq.messages_delivered", s.messages_delivered},
+        {"itb.arq.messages_dropped", s.messages_dropped},
+        {"itb.rate.downshifts", s.rate_downshifts},
+        {"itb.rate.upshifts", s.rate_upshifts},
+        {"itb.faults.brownout_skips", s.brownout_skips},
+        {"itb.faults.outage_skips", s.outage_skips},
+        {"itb.faults.failover_polls", s.failover_polls},
+        {"itb.faults.link_down_polls", s.link_down_polls},
+    };
+    for (const auto& [name, total] : counters) {
+      ASSERT_NE(capture.metrics.find(name), nullptr) << name;
+      EXPECT_EQ(capture.metrics.counter_value(name), total) << name;
+    }
+    std::uint64_t downshifts = 0;
+    for (const sim::TagStats& t : s.per_tag) downshifts += t.rate_downshifts;
+    EXPECT_EQ(s.rate_downshifts, downshifts);
+    EXPECT_GT(s.rate_downshifts, 0u);
     const obs::MetricValue* lat =
         capture.metrics.find("itb.sim.poll_latency_us");
     ASSERT_NE(lat, nullptr);
     EXPECT_EQ(lat->count, s.replies_received);
+    EXPECT_EQ(lat->value, s.query_latency.sum_us);
+    ASSERT_EQ(lat->buckets.size(), sim::LatencyHistogram::kBins);
+    for (std::size_t b = 0; b < lat->edges.size(); ++b) {
+      EXPECT_EQ(lat->edges[b], sim::LatencyHistogram::bin_upper_us(b));
+      EXPECT_EQ(lat->buckets[b], s.query_latency.counts[b]);
+    }
     EXPECT_GT(capture.trace.size(), 0u);
   }
   for (std::size_t i = 1; i < stat_digests.size(); ++i) {
@@ -432,43 +424,6 @@ TEST(NetworkCaptureTest, TraceRingDropsOldestAndCountsThem) {
   EXPECT_GT(capture.trace.dropped(), 0u);
   EXPECT_EQ(capture.metrics.counter_value("itb.trace.events_dropped"),
             capture.trace.dropped());
-}
-
-// --------------------------------------------------------------------------
-// PollRecord trace hardening (NetworkConfig::trace_capacity)
-// --------------------------------------------------------------------------
-
-TEST(PollTraceCapacityTest, KeepsNewestRecordsAndCountsDrops) {
-  sim::NetworkConfig cfg = ward_config();
-  cfg.num_threads = 1;
-  const sim::NetworkStats full = sim::NetworkCoordinator(cfg).run();
-  ASSERT_GT(full.trace.size(), 256u);
-  EXPECT_EQ(full.trace_dropped, 0u);
-
-  cfg.trace_capacity = 256;
-  for (const std::size_t threads : {1, 2, 8}) {
-    cfg.num_threads = threads;
-    const sim::NetworkStats bounded = sim::NetworkCoordinator(cfg).run();
-    ASSERT_EQ(bounded.trace.size(), 256u);
-    EXPECT_EQ(bounded.trace_dropped, full.trace.size() - 256u);
-    // Oldest-drop: the kept window is exactly the tail of the full trace,
-    // at any thread count.
-    const std::size_t off = full.trace.size() - 256u;
-    for (std::size_t i = 0; i < 256u; ++i) {
-      EXPECT_EQ(bounded.trace[i].time_us, full.trace[off + i].time_us);
-      EXPECT_EQ(bounded.trace[i].tag, full.trace[off + i].tag);
-      EXPECT_EQ(bounded.trace[i].outcome, full.trace[off + i].outcome);
-    }
-    // The knob never touches the result identity.
-    EXPECT_EQ(bounded.digest(), full.digest());
-  }
-
-  // The drop counter surfaces through the metrics registry.
-  cfg.num_threads = 1;
-  obs::RunCapture capture;
-  const sim::NetworkStats s = sim::NetworkCoordinator(cfg).run(&capture);
-  EXPECT_EQ(capture.metrics.counter_value("itb.sim.trace_records_dropped"),
-            s.trace_dropped);
 }
 
 // --------------------------------------------------------------------------

@@ -6,12 +6,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "dsp/rng.h"
 #include "mac/arq.h"
+#include "obs/capture.h"
 #include "sim/faults.h"
 #include "sim/network.h"
+#include "sim/poll_resolver.h"
 #include "sim/stats.h"
 #include "sim/topology.h"
 
@@ -233,16 +238,38 @@ TEST(Resilience, FaultInjected1000TagRunBitIdenticalAcrossThreads) {
   EXPECT_GT(s1.recovery_time.total, 0u);
 }
 
+/// Tag 0's poll events from the run's obs trace, in time order: one per
+/// round.
+struct PolledSlot {
+  std::string outcome;
+  std::uint64_t round = 0;
+  std::uint64_t ap = 0;
+};
+
+std::vector<PolledSlot> tag0_polls(const NetworkConfig& cfg, NetworkStats& s) {
+  obs::RunCapture capture;
+  s = NetworkCoordinator(cfg).run(&capture);
+  std::vector<PolledSlot> out;
+  for (const obs::TraceEvent& e : capture.trace.events()) {
+    if (std::string(e.cat) != "poll") continue;
+    std::map<std::string, std::uint64_t> args;
+    for (const obs::TraceArg& a : e.args) {
+      if (a.name != nullptr) args[a.name] = a.value;
+    }
+    if (args.at("tag") == 0) out.push_back({e.name, args.at("round"), args.at("ap")});
+  }
+  return out;
+}
+
 TEST(Resilience, GoldenApOutageFailoverRecoveryTimeline) {
   // Hand-built schedule on a deterministic link (no stochastic losses):
-  // the per-poll trace must show, event by event, delivery -> outage ->
+  // the poll trace must show, event by event, delivery -> outage ->
   // recovery without failover, and delivery via the backup AP with it.
   NetworkConfig cfg = clean_grid_config();
   cfg.topology.num_tags = 2;
   cfg.topology.num_helpers = 2;
   cfg.topology.num_aps = 2;
   cfg.rounds = 6;
-  cfg.keep_trace = true;
 
   // Learn tag 0's primary/failover APs from a fault-free build, then
   // target the outage at exactly that primary.
@@ -257,17 +284,9 @@ TEST(Resilience, GoldenApOutageFailoverRecoveryTimeline) {
   // [70 ms, 130 ms) covers exactly its round-2 and round-3 queries.
   cfg.faults.ap_outage(primary, 70e3, 60e3);
 
-  const auto tag0_trace = [](const NetworkStats& s) {
-    std::vector<PollRecord> t;
-    for (const PollRecord& r : s.trace) {
-      if (r.tag == 0) t.push_back(r);
-    }
-    return t;
-  };
-
   cfg.ap_failover = false;
-  const NetworkStats plain = NetworkCoordinator(cfg).run();
-  const std::vector<PollRecord> pt = tag0_trace(plain);
+  NetworkStats plain;
+  const std::vector<PolledSlot> pt = tag0_polls(cfg, plain);
   ASSERT_EQ(pt.size(), 6u);
   const PollOutcome expected[] = {
       PollOutcome::kDelivered, PollOutcome::kDelivered,
@@ -275,7 +294,7 @@ TEST(Resilience, GoldenApOutageFailoverRecoveryTimeline) {
       PollOutcome::kDelivered, PollOutcome::kDelivered};
   for (std::size_t r = 0; r < 6; ++r) {
     EXPECT_EQ(pt[r].round, r);
-    EXPECT_EQ(pt[r].outcome, expected[r]) << "round " << r;
+    EXPECT_EQ(pt[r].outcome, poll_outcome_name(expected[r])) << "round " << r;
   }
   // The disruption opened at the round-2 query and healed at the round-4
   // delivery: recovery spans roughly two TDMA rounds.
@@ -290,11 +309,12 @@ TEST(Resilience, GoldenApOutageFailoverRecoveryTimeline) {
 
   // With failover every poll still delivers; rounds 2-3 ride the backup.
   cfg.ap_failover = true;
-  const NetworkStats fo = NetworkCoordinator(cfg).run();
-  const std::vector<PollRecord> ft = tag0_trace(fo);
+  NetworkStats fo;
+  const std::vector<PolledSlot> ft = tag0_polls(cfg, fo);
   ASSERT_EQ(ft.size(), 6u);
   for (std::size_t r = 0; r < 6; ++r) {
-    EXPECT_EQ(ft[r].outcome, PollOutcome::kDelivered) << "round " << r;
+    EXPECT_EQ(ft[r].outcome, poll_outcome_name(PollOutcome::kDelivered))
+        << "round " << r;
     EXPECT_EQ(ft[r].ap, (r == 2 || r == 3) ? backup : primary)
         << "round " << r;
   }
@@ -394,6 +414,186 @@ TEST(Resilience, BackoffIdlesSlotsDeterministically) {
   EXPECT_EQ(e.backoff_skips, 0u);
   EXPECT_GE(e.messages_offered + e.retransmissions,
             a.messages_offered + a.retransmissions);
+}
+
+// --- PollResolver transitions ------------------------------------------------
+
+constexpr double kPollUs = 1000.0;
+
+/// One poll through the resolver: the tag's state before it, the gates at
+/// query time and (for a live poll) the attempt's outcome, then everything
+/// the poll must leave behind.
+struct ResolverRow {
+  const char* name;
+  bool arq;
+  TagState before;
+  std::size_t ladder_failures;  ///< failures the fallback ladder saw before
+  PollGates gates;
+  std::optional<PollOutcome> attempt;
+  // Expected:
+  std::optional<PollOutcome> skipped;
+  bool failover;
+  TagStats counters;
+  TagState after;
+  mac::LinkWaveform rung;
+  std::size_t delivered_after;
+  std::optional<double> recovered_after_us;
+};
+
+void expect_counters(const TagStats& got, const TagStats& want) {
+  EXPECT_EQ(got.queries, want.queries);
+  EXPECT_EQ(got.replies, want.replies);
+  EXPECT_EQ(got.downlink_misses, want.downlink_misses);
+  EXPECT_EQ(got.reservation_denied, want.reservation_denied);
+  EXPECT_EQ(got.collisions, want.collisions);
+  EXPECT_EQ(got.decode_failures, want.decode_failures);
+  EXPECT_EQ(got.messages_offered, want.messages_offered);
+  EXPECT_EQ(got.messages_delivered, want.messages_delivered);
+  EXPECT_EQ(got.messages_dropped, want.messages_dropped);
+  EXPECT_EQ(got.retransmissions, want.retransmissions);
+  EXPECT_EQ(got.backoff_skips, want.backoff_skips);
+  EXPECT_EQ(got.brownout_skips, want.brownout_skips);
+  EXPECT_EQ(got.outage_skips, want.outage_skips);
+  EXPECT_EQ(got.link_down_polls, want.link_down_polls);
+  EXPECT_EQ(got.failover_polls, want.failover_polls);
+  EXPECT_EQ(got.fallback_polls, want.fallback_polls);
+}
+
+void expect_state(const TagState& got, const TagState& want) {
+  EXPECT_EQ(got.in_flight, want.in_flight);
+  EXPECT_EQ(got.frag, want.frag);
+  EXPECT_EQ(got.frag_attempts, want.frag_attempts);
+  EXPECT_EQ(got.msg_attempts, want.msg_attempts);
+  EXPECT_EQ(got.retx_used, want.retx_used);
+  EXPECT_EQ(got.fail_streak, want.fail_streak);
+  EXPECT_EQ(got.backoff_remaining, want.backoff_remaining);
+  EXPECT_EQ(got.disrupted, want.disrupted);
+  EXPECT_EQ(got.disrupted_since_us, want.disrupted_since_us);
+}
+
+TEST(PollResolverTest, TransitionTable) {
+  // Two fragments per ARQ message, 3 attempts per fragment, 4
+  // retransmissions per message, backoff 1, 2, 4 slots; the ladder steps
+  // down after 2 failures and back up after 1 success.
+  mac::ArqConfig arq;
+  arq.max_attempts = 3;
+  arq.retry_budget = 4;
+  arq.backoff_base_slots = 1;
+  arq.backoff_cap_slots = 4;
+  arq = arq.validated();
+  mac::FallbackConfig fallback;
+  fallback.enable_rate_fallback = true;
+  fallback.down_after_failures = 2;
+  fallback.up_after_successes = 1;
+  constexpr auto k2 = mac::LinkWaveform::kWifi2Mbps;
+  constexpr auto k1 = mac::LinkWaveform::kWifi1Mbps;
+  constexpr double t = kPollUs;
+
+  const ResolverRow rows[] = {
+      {"link down", true, {}, 0, {.link_down = true}, {},
+       PollOutcome::kLinkDown, false,
+       {.queries = 1, .link_down_polls = 1},
+       {.disrupted = true, .disrupted_since_us = t}, k2, 0, {}},
+      {"AP outage, no live failover", true, {}, 0, {.ap_down = true}, {},
+       PollOutcome::kApOutage, false,
+       {.queries = 1, .outage_skips = 1},
+       {.disrupted = true, .disrupted_since_us = t}, k2, 0, {}},
+      {"AP outage, failover up", true, {}, 0,
+       {.ap_down = true, .failover_up = true}, PollOutcome::kDelivered,
+       {}, true,
+       {.queries = 1, .replies = 1, .messages_offered = 1,
+        .failover_polls = 1},
+       {.in_flight = true, .frag = 1, .msg_attempts = 1}, k2, 0, {}},
+      {"brownout mid-message", true,
+       {.in_flight = true, .frag = 1, .frag_attempts = 1, .msg_attempts = 3,
+        .retx_used = 1},
+       0, {.browned_out = true}, {},
+       PollOutcome::kBrownout, false,
+       {.queries = 1, .brownout_skips = 1},
+       {.in_flight = true, .frag = 1, .frag_attempts = 1, .msg_attempts = 3,
+        .retx_used = 1, .disrupted = true, .disrupted_since_us = t},
+       k2, 0, {}},
+      {"backoff countdown", true,
+       {.in_flight = true, .frag_attempts = 1, .msg_attempts = 1,
+        .fail_streak = 1, .backoff_remaining = 2},
+       0, {}, {},
+       PollOutcome::kBackoff, false,
+       {.queries = 1, .backoff_skips = 1},
+       {.in_flight = true, .frag_attempts = 1, .msg_attempts = 1,
+        .fail_streak = 1, .backoff_remaining = 1},
+       k2, 0, {}},
+      {"ladder down after down_after_failures", true,
+       {.in_flight = true, .frag_attempts = 1, .msg_attempts = 1,
+        .fail_streak = 1, .disrupted = true, .disrupted_since_us = 500.0},
+       1, {}, PollOutcome::kCollision,
+       {}, false,
+       {.queries = 1, .collisions = 1, .retransmissions = 1},
+       {.in_flight = true, .frag_attempts = 2, .msg_attempts = 2,
+        .retx_used = 1, .fail_streak = 2, .backoff_remaining = 2,
+        .disrupted = true, .disrupted_since_us = 500.0},
+       k1, 0, {}},
+      {"ladder back up on success, message delivered", true,
+       {.in_flight = true, .frag = 1, .frag_attempts = 1, .msg_attempts = 4,
+        .retx_used = 2, .fail_streak = 2, .disrupted = true,
+        .disrupted_since_us = 500.0},
+       2, {}, PollOutcome::kDelivered,
+       {}, false,
+       {.queries = 1, .replies = 1, .messages_delivered = 1,
+        .retransmissions = 1, .fallback_polls = 1},
+       {.frag = 2, .msg_attempts = 5, .retx_used = 3,
+        .disrupted_since_us = 500.0},
+       k2, 5, 500.0},
+      {"max_attempts exhausted", true,
+       {.in_flight = true, .frag_attempts = 2, .msg_attempts = 2,
+        .retx_used = 1, .fail_streak = 2},
+       0, {}, PollOutcome::kDecodeFailure,
+       {}, false,
+       {.queries = 1, .decode_failures = 1, .messages_dropped = 1,
+        .retransmissions = 1},
+       {.frag_attempts = 3, .msg_attempts = 3, .retx_used = 2,
+        .fail_streak = 3, .disrupted = true, .disrupted_since_us = t},
+       k2, 0, {}},
+      {"retry_budget exhausted", true,
+       {.in_flight = true, .frag = 1, .frag_attempts = 1, .msg_attempts = 4,
+        .retx_used = 3, .fail_streak = 1},
+       0, {}, PollOutcome::kReservationDenied,
+       {}, false,
+       {.queries = 1, .reservation_denied = 1, .messages_dropped = 1,
+        .retransmissions = 1},
+       {.frag = 1, .frag_attempts = 2, .msg_attempts = 5, .retx_used = 4,
+        .fail_streak = 2, .disrupted = true, .disrupted_since_us = t},
+       k2, 0, {}},
+      {"non-ARQ drop", false, {}, 0, {}, PollOutcome::kDownlinkMiss,
+       {}, false,
+       {.queries = 1, .downlink_misses = 1, .messages_offered = 1,
+        .messages_dropped = 1},
+       {.frag_attempts = 1, .msg_attempts = 1, .disrupted = true,
+        .disrupted_since_us = t},
+       k2, 0, {}},
+  };
+  for (const ResolverRow& row : rows) {
+    SCOPED_TRACE(row.name);
+    const PollResolver resolver{row.arq, arq, row.arq ? 2u : 1u};
+    TagState st = row.before;
+    st.fallback = mac::RateFallbackController(fallback, k2);
+    for (std::size_t i = 0; i < row.ladder_failures; ++i) {
+      st.fallback.on_failure();
+    }
+    TagStats ts;
+    const PollStart start = resolver.start(ts, st, row.gates, t);
+    EXPECT_EQ(start.skipped, row.skipped);
+    EXPECT_EQ(start.failover, row.failover);
+    AttemptEnd end;
+    if (!start.skipped) {
+      ASSERT_TRUE(row.attempt.has_value());
+      end = resolver.finish(ts, st, *row.attempt, t);
+    }
+    expect_counters(ts, row.counters);
+    expect_state(st, row.after);
+    EXPECT_EQ(st.fallback.current(), row.rung);
+    EXPECT_EQ(end.delivered_after, row.delivered_after);
+    EXPECT_EQ(end.recovered_after_us, row.recovered_after_us);
+  }
 }
 
 // --- pinned digests -----------------------------------------------------------

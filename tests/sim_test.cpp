@@ -8,7 +8,9 @@
 #include <chrono>
 #include <cmath>
 #include <stdexcept>
+#include <vector>
 
+#include "mac/query_reply.h"
 #include "sim/event_queue.h"
 #include "sim/network.h"
 #include "sim/stats.h"
@@ -108,6 +110,10 @@ TEST(LatencyHistogram, QuantilesAreMonotoneAndMergeIsExact) {
   EXPECT_GE(merged.max_us, 500000.0);
   // The p50 bin must actually contain the median sample.
   EXPECT_GE(merged.quantile_us(0.5), 5000.0);
+  // q = 0 names the bin of the smallest sample, not the first bin.
+  EXPECT_EQ(merged.quantile_us(0.0),
+            LatencyHistogram::bin_upper_us(LatencyHistogram::bin_for(100.0)));
+  EXPECT_LE(merged.quantile_us(0.0), merged.quantile_us(0.5));
 }
 
 // --- topology ----------------------------------------------------------------
@@ -211,6 +217,60 @@ TEST(Network, PollsEveryTagEveryRound) {
   EXPECT_GT(s.query_latency.total, 0u);
   EXPECT_GT(s.mean_harvest_duty, 0.0);
   EXPECT_GT(s.mean_tag_power_uw, 0.0);
+}
+
+TEST(RunPlan, FixedShardPartitionAndPerGroupTables) {
+  NetworkConfig cfg = small_ward_config();
+  cfg.shard_tags = 8;
+  cfg.enable_arq = true;
+  cfg.arq.fragment_bytes = 20;  // 30-byte payload -> 2 fragments
+  const NetworkCoordinator net(cfg);
+  ASSERT_EQ(net.fragments_per_message(), 2u);
+  const RunPlan plan = net.plan();
+  ASSERT_EQ(plan.groups.size(), 3u);
+  EXPECT_EQ(plan.slot_us, mac::poll_slot_us(cfg.polling));
+  EXPECT_EQ(plan.delivered_bits, 30.0 * 8.0 / 2.0);
+  for (std::size_t w = 0; w < mac::kNumLinkWaveforms; ++w) {
+    EXPECT_EQ(plan.attempt_airtime_us[w],
+              mac::waveform_airtime_us(static_cast<mac::LinkWaveform>(w),
+                                       net.wire_bytes()));
+  }
+
+  // Shards tile each group's slots in order, group-major, at most
+  // shard_tags each.
+  std::vector<std::size_t> covered(plan.groups.size(), 0);
+  std::size_t last_group = 0;
+  for (const RunPlan::Shard& sh : plan.shards) {
+    ASSERT_LT(sh.group, plan.groups.size());
+    EXPECT_GE(sh.group, last_group);
+    last_group = sh.group;
+    EXPECT_EQ(sh.begin, covered[sh.group]);
+    EXPECT_GT(sh.end, sh.begin);
+    EXPECT_LE(sh.end - sh.begin, cfg.shard_tags);
+    covered[sh.group] = sh.end;
+  }
+  for (std::size_t g = 0; g < plan.groups.size(); ++g) {
+    const std::size_t tags = net.channel_plan()[g].tags;
+    EXPECT_EQ(covered[g], tags);
+    const RunPlan::Group& grp = plan.groups[g];
+    EXPECT_EQ(grp.round_us, static_cast<double>(tags) * plan.slot_us);
+    EXPECT_GT(grp.shift_hz, 0.0);
+    for (const double nj : grp.attempt_energy_nj) EXPECT_GT(nj, 0.0);
+  }
+  // Attempts at a lower rung stay on the air longer and cost more energy.
+  const auto at = [](mac::LinkWaveform w) { return static_cast<std::size_t>(w); };
+  EXPECT_GT(plan.groups[0].attempt_energy_nj[at(mac::LinkWaveform::kWifi1Mbps)],
+            plan.groups[0].attempt_energy_nj[at(mac::LinkWaveform::kWifi11Mbps)]);
+
+  // The plan is part of the result identity: thread count never moves it.
+  cfg.num_threads = 8;
+  const RunPlan wide = NetworkCoordinator(cfg).plan();
+  ASSERT_EQ(wide.shards.size(), plan.shards.size());
+  for (std::size_t i = 0; i < plan.shards.size(); ++i) {
+    EXPECT_EQ(wide.shards[i].group, plan.shards[i].group);
+    EXPECT_EQ(wide.shards[i].begin, plan.shards[i].begin);
+    EXPECT_EQ(wide.shards[i].end, plan.shards[i].end);
+  }
 }
 
 TEST(Network, RunIsReproducible) {
