@@ -33,6 +33,7 @@ PollStart PollResolver::start(TagStats& ts, TagState& st,
                               const PollGates& gates, double t_us) const {
   ++ts.queries;
   PollStart p;
+  p.failover = !gates.link_down && gates.ap_down && gates.failover_up;
   if (gates.link_down) {
     p.skipped = PollOutcome::kLinkDown;
   } else if (gates.ap_down && !gates.failover_up) {
@@ -50,7 +51,6 @@ PollStart PollResolver::start(TagStats& ts, TagState& st,
     return p;
   }
 
-  p.failover = gates.ap_down;
   if (!st.in_flight) {
     st.in_flight = true;
     st.frag = 0;

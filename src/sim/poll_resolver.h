@@ -42,7 +42,7 @@ struct PollGates {
 struct PollStart {
   /// Set when a gate skipped the poll: no attempt, no RNG draws.
   std::optional<PollOutcome> skipped;
-  bool failover = false;  ///< the failover AP serves this attempt
+  bool failover = false;  ///< the failover AP serves (or would serve) it
 };
 
 /// What a resolved attempt completed, for the shard's histograms.

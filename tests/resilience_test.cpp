@@ -504,11 +504,11 @@ TEST(PollResolverTest, TransitionTable) {
        {.queries = 1, .replies = 1, .messages_offered = 1,
         .failover_polls = 1},
        {.in_flight = true, .frag = 1, .msg_attempts = 1}, k2, 0, {}},
-      {"brownout mid-message", true,
+      {"brownout mid-message, failed over", true,
        {.in_flight = true, .frag = 1, .frag_attempts = 1, .msg_attempts = 3,
         .retx_used = 1},
-       0, {.browned_out = true}, {},
-       PollOutcome::kBrownout, false,
+       0, {.ap_down = true, .failover_up = true, .browned_out = true}, {},
+       PollOutcome::kBrownout, true,
        {.queries = 1, .brownout_skips = 1},
        {.in_flight = true, .frag = 1, .frag_attempts = 1, .msg_attempts = 3,
         .retx_used = 1, .disrupted = true, .disrupted_since_us = t},
