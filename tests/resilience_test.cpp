@@ -553,10 +553,12 @@ TEST(PollResolverTest, TransitionTable) {
        {.frag_attempts = 3, .msg_attempts = 3, .retx_used = 2,
         .fail_streak = 3, .disrupted = true, .disrupted_since_us = t},
        k2, 0, {}},
+      // A busy channel says nothing about the reply waveform: the ladder,
+      // one failure from stepping down, stays put.
       {"retry_budget exhausted", true,
        {.in_flight = true, .frag = 1, .frag_attempts = 1, .msg_attempts = 4,
         .retx_used = 3, .fail_streak = 1},
-       0, {}, PollOutcome::kReservationDenied,
+       1, {}, PollOutcome::kReservationDenied,
        {}, false,
        {.queries = 1, .reservation_denied = 1, .messages_dropped = 1,
         .retransmissions = 1},
