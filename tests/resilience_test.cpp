@@ -256,7 +256,9 @@ std::vector<PolledSlot> tag0_polls(const NetworkConfig& cfg, NetworkStats& s) {
     for (const obs::TraceArg& a : e.args) {
       if (a.name != nullptr) args[a.name] = a.value;
     }
-    if (args.at("tag") == 0) out.push_back({e.name, args.at("round"), args.at("ap")});
+    if (args.at("tag") == 0) {
+      out.push_back({e.name, args.at("round"), args.at("ap")});
+    }
   }
   return out;
 }
@@ -598,7 +600,7 @@ TEST(PollResolverTest, TransitionTable) {
   }
 }
 
-// --- pinned digests -----------------------------------------------------------
+// --- pinned digests ----------------------------------------------------------
 
 /// The intensity-x fault profile of bench/net_resilience.cpp.
 FaultSchedule resilience_faults(const NetworkConfig& cfg, double intensity,

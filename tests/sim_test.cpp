@@ -258,9 +258,9 @@ TEST(RunPlan, FixedShardPartitionAndPerGroupTables) {
     for (const double nj : grp.attempt_energy_nj) EXPECT_GT(nj, 0.0);
   }
   // Attempts at a lower rung stay on the air longer and cost more energy.
-  const auto at = [](mac::LinkWaveform w) { return static_cast<std::size_t>(w); };
-  EXPECT_GT(plan.groups[0].attempt_energy_nj[at(mac::LinkWaveform::kWifi1Mbps)],
-            plan.groups[0].attempt_energy_nj[at(mac::LinkWaveform::kWifi11Mbps)]);
+  const auto& energy = plan.groups[0].attempt_energy_nj;
+  EXPECT_GT(energy[static_cast<std::size_t>(mac::LinkWaveform::kWifi1Mbps)],
+            energy[static_cast<std::size_t>(mac::LinkWaveform::kWifi11Mbps)]);
 
   // The plan is part of the result identity: thread count never moves it.
   cfg.num_threads = 8;
