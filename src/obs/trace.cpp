@@ -134,10 +134,10 @@ void TraceLog::write_perfetto_json(std::ostream& os) const {
       os << (has_args ? ", " : ", \"args\": {") << "\"" << k << "\": ";
       has_args = true;
     };
-    for (const TraceArg& a : e.args) {
-      if (a.name == nullptr) continue;
-      key(a.name);
-      os << a.value;
+    for (std::size_t i = 0; e.arg_names != nullptr && i < e.args.size(); ++i) {
+      if ((*e.arg_names)[i] == nullptr) continue;
+      key((*e.arg_names)[i]);
+      os << e.args[i];
     }
     if (e.sarg_name != nullptr) {
       key(e.sarg_name);
@@ -159,10 +159,10 @@ std::uint64_t TraceLog::digest() const {
     h.mix(e.tid);
     h.mix(static_cast<std::uint64_t>(e.ts_us));
     h.mix(static_cast<std::uint64_t>(e.dur_us));
-    for (const TraceArg& a : e.args) {
-      if (a.name == nullptr) continue;
-      h.mix(a.name);
-      h.mix(a.value);
+    for (std::size_t i = 0; e.arg_names != nullptr && i < e.args.size(); ++i) {
+      if ((*e.arg_names)[i] == nullptr) continue;
+      h.mix((*e.arg_names)[i]);
+      h.mix(e.args[i]);
     }
     if (e.sarg_name != nullptr) {
       h.mix(e.sarg_name);

@@ -33,21 +33,23 @@ namespace itb::obs {
 
 enum class TracePhase : std::uint8_t { kSpan = 0, kInstant = 1 };
 
-struct TraceArg {
-  const char* name = nullptr;  ///< unset = no argument in this slot
-  std::uint64_t value = 0;
-};
+/// Names of an event's numeric arguments, in static storage; a null entry
+/// leaves its slot unused.
+using TraceArgNames = std::array<const char*, 3>;
 
+/// Kept at 80 bytes on 64-bit targets: every poll of a captured run is
+/// copied into a shard ring and again through TraceLog::finalize's sort.
 struct TraceEvent {
   const char* name = "";
   const char* cat = "";
   TracePhase phase = TracePhase::kInstant;
   std::uint32_t pid = 0;
   std::uint32_t tid = 0;
+  std::array<std::uint32_t, 3> args{};    ///< values, named by arg_names
   std::int64_t ts_us = 0;
-  std::int64_t dur_us = 0;          ///< spans only
-  std::array<TraceArg, 3> args{};   ///< optional numeric arguments
-  const char* sarg_name = nullptr;  ///< optional string argument
+  std::int64_t dur_us = 0;                ///< spans only
+  const TraceArgNames* arg_names = nullptr;  ///< null: no numeric arguments
+  const char* sarg_name = nullptr;        ///< optional string argument
   const char* sarg = nullptr;
 };
 

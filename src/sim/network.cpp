@@ -180,7 +180,9 @@ struct ShardTracer {
       e.dur_us = static_cast<std::int64_t>(
           (*airtime_us)[static_cast<std::size_t>(wf)]);
     }
-    e.args = {{{"tag", tag}, {"round", round}, {"ap", ap}}};
+    static constexpr obs::TraceArgNames kArgs = {"tag", "round", "ap"};
+    e.arg_names = &kArgs;
+    e.args = {tag, static_cast<std::uint32_t>(round), ap};
     e.sarg_name = "waveform";
     e.sarg = mac::waveform_name(wf);
     buf->push(e);
@@ -234,7 +236,9 @@ void export_trace(const NetworkConfig& cfg, const RunPlan& plan,
       e.tid = 1;
       e.ts_us = static_cast<std::int64_t>(fe.start_us);
       e.dur_us = static_cast<std::int64_t>(fe.duration_us);
-      e.args[0] = {"entity", fe.entity};
+      static constexpr obs::TraceArgNames kArgs = {"entity"};
+      e.arg_names = &kArgs;
+      e.args[0] = fe.entity;
       log.push(e);
     }
   }

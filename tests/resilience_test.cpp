@@ -253,8 +253,8 @@ std::vector<PolledSlot> tag0_polls(const NetworkConfig& cfg, NetworkStats& s) {
   for (const obs::TraceEvent& e : capture.trace.events()) {
     if (std::string(e.cat) != "poll") continue;
     std::map<std::string, std::uint64_t> args;
-    for (const obs::TraceArg& a : e.args) {
-      if (a.name != nullptr) args[a.name] = a.value;
+    for (std::size_t i = 0; e.arg_names != nullptr && i < e.args.size(); ++i) {
+      if ((*e.arg_names)[i] != nullptr) args[(*e.arg_names)[i]] = e.args[i];
     }
     if (args.at("tag") == 0) {
       out.push_back({e.name, args.at("round"), args.at("ap")});
