@@ -45,11 +45,11 @@ struct TraceEvent {
   TracePhase phase = TracePhase::kInstant;
   std::uint32_t pid = 0;
   std::uint32_t tid = 0;
-  std::array<std::uint32_t, 3> args{};    ///< values, named by arg_names
+  std::array<std::uint32_t, 3> args{};  ///< values, named by arg_names
   std::int64_t ts_us = 0;
-  std::int64_t dur_us = 0;                ///< spans only
+  std::int64_t dur_us = 0;          ///< spans only
   const TraceArgNames* arg_names = nullptr;  ///< null: no numeric arguments
-  const char* sarg_name = nullptr;        ///< optional string argument
+  const char* sarg_name = nullptr;  ///< optional string argument
   const char* sarg = nullptr;
 };
 

@@ -803,10 +803,8 @@ NetworkStats NetworkCoordinator::reduce(const RunPlan& plan,
   NetworkStats out;
   out.num_tags = placement_.tags.size();
   out.num_channels = channels_.size();
-  out.channels = channels_;
-  for (ChannelStats& ch : out.channels) {
-    ch.replies = 0;
-    ch.collisions = 0;
+  out.channels = channels_;  // plan-time fields; replies/collisions are 0
+  for (const ChannelStats& ch : channels_) {
     out.elapsed_us = std::max(out.elapsed_us, ch.elapsed_us);
   }
 
