@@ -364,6 +364,12 @@ TEST(NetworkCaptureTest, SnapshotAndTraceAreThreadCountInvariant) {
     }
     EXPECT_GT(capture.trace.size(), 0u);
   }
+  // Pinned, not only compared across thread counts: a change in the order
+  // the shard loop emits events moves the trace digest even when every
+  // stat holds.
+  EXPECT_EQ(stat_digests[0], 0xe774b24ac24890ddULL);
+  EXPECT_EQ(metric_digests[0], 0x224ef28c716c0e91ULL);
+  EXPECT_EQ(trace_digests[0], 0x7c186bc3b3f9015eULL);
   for (std::size_t i = 1; i < stat_digests.size(); ++i) {
     EXPECT_EQ(stat_digests[i], stat_digests[0]);
     EXPECT_EQ(metric_digests[i], metric_digests[0]);
@@ -374,6 +380,29 @@ TEST(NetworkCaptureTest, SnapshotAndTraceAreThreadCountInvariant) {
   }
   EXPECT_EQ(stat_digests[0], bare_digest)
       << "attaching a RunCapture changed the simulation result";
+}
+
+TEST(NetworkCaptureTest, OneTagPerGroupFleetIsPinnedAcrossThreadCounts) {
+  // One tag per group makes round == slot, so a tag's reply and its own
+  // next query are one slot apart and the ARQ and fallback state the query
+  // sees depends on their order.
+  sim::NetworkConfig cfg = ward_config();
+  cfg.topology.num_tags = 3;
+  cfg.shard_tags = 1;
+  cfg.rounds = 40;
+  cfg.fallback.enable_zigbee_fallback = true;
+  cfg.faults = sim::FaultSchedule{};
+  cfg.faults.ap_outage(0, 1e6, 2e6);
+  cfg.faults.interference(6, 2e6, 1e6, 18.0);
+  cfg.faults.brownout(1, 5e5, 5e5);
+  for (const std::size_t threads : {1, 2, 8}) {
+    cfg.num_threads = threads;
+    const sim::NetworkStats s = sim::NetworkCoordinator(cfg).run();
+    EXPECT_GT(s.retransmissions, 0u);
+    EXPECT_GT(s.rate_downshifts, 0u);
+    EXPECT_GT(s.brownout_skips, 0u);
+    EXPECT_EQ(s.digest(), 0xeccb6734861108e2ULL) << threads << " threads";
+  }
 }
 
 TEST(NetworkCaptureTest, TraceJsonParsesBackWithFaultSpans) {
