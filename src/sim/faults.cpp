@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "sim/event_queue.h"
-
 namespace itb::sim {
 
 namespace {

@@ -22,6 +22,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/monte_carlo.h"
+#include "dsp/rng.h"
 #include "dsp/types.h"
 
 namespace itb::sim {
@@ -64,6 +66,16 @@ struct FaultEvent {
   Real magnitude_db = 0.0;  ///< noise rise / slump depth; unused for outages
   double end_us() const { return start_us + duration_us; }
 };
+
+/// Deterministic per-(entity, decision) RNG substream. Thin wrapper over
+/// core::trial_seed so the sim layer shares the DESIGN.md substream scheme
+/// with the Monte-Carlo engine: the stream depends only on the sim seed and
+/// the (entity, counter) coordinates, never on the order decisions are made.
+inline itb::dsp::Xoshiro256 entity_stream(std::uint64_t sim_seed,
+                                          std::uint32_t entity,
+                                          std::uint64_t counter) {
+  return itb::dsp::Xoshiro256(itb::core::trial_seed(sim_seed, entity, counter));
+}
 
 /// Builder-style container so scenarios read declaratively.
 struct FaultSchedule {

@@ -13,7 +13,6 @@
 #include "dsp/units.h"
 #include "obs/capture.h"
 #include "obs/prof.h"
-#include "sim/event_queue.h"
 #include "sim/poll_resolver.h"
 #include "sim/spatial_hash.h"
 
@@ -38,11 +37,6 @@ constexpr std::uint64_t kReplyPhase = 1;
 std::uint64_t phase_counter(std::uint64_t round, std::uint64_t phase) {
   return round * 2 + phase;
 }
-
-/// Event payload packing: (failover << 63) | (slot << 32) | round. The
-/// failover decision is made at query time and must survive to the reply
-/// handler, so it rides in the event data.
-constexpr std::uint64_t kFailoverBit = 1ULL << 63;
 
 Real waveform_per_at(mac::LinkWaveform w, Real snr_db,
                      std::size_t wire_bytes) {
@@ -631,19 +625,6 @@ void NetworkCoordinator::run_shard(const RunPlan& plan, std::size_t si,
                            &plan.attempt_airtime_us};
   const PollResolver resolver{cfg_.enable_arq, cfg_.arq, fragments_};
 
-  EventQueue queue;
-  // Schedule every poll this shard owns: tag at TDMA slot s, round r is
-  // queried at r*round + s*slot on its group's timeline. The event payload
-  // packs (slot << 32 | round) so handlers recover both.
-  for (std::size_t s = sh.begin; s < sh.end; ++s) {
-    for (std::size_t r = 0; r < cfg_.rounds; ++r) {
-      queue.schedule(static_cast<double>(r) * grp.round_us +
-                         static_cast<double>(s) * plan.slot_us,
-                     EventType::kQuery, group_tags_[g][s],
-                     (static_cast<std::uint64_t>(s) << 32) | r);
-    }
-  }
-
   // Shard-local, slot-indexed: the hot loop's writes stay dense instead of
   // group-strided across the fleet.
   std::vector<TagStats> local(sh.end - sh.begin);
@@ -656,106 +637,105 @@ void NetworkCoordinator::run_shard(const RunPlan& plan, std::size_t si,
   // to delivery, and a failed poll retries the same payload next round.
   std::vector<double> pending_since(sh.end - sh.begin, 0.0);
 
-  while (!queue.empty()) {
-    const Event ev = queue.pop();
-    const std::uint32_t tag = ev.entity;
-    const std::uint64_t round = ev.data & 0xFFFFFFFFULL;
-    const std::size_t i =
-        static_cast<std::size_t>((ev.data >> 32) & 0x7FFFFFFFULL) - sh.begin;
-    TagStats& ts = local[i];
-    TagState& st = state[i];
-    const TagLink& link = links_[tag];
-    const mac::LinkWaveform wf = st.fallback.current();
-    const auto wi = static_cast<std::size_t>(wf);
-    PollOutcome out = PollOutcome::kDelivered;
-    std::uint32_t ap = link.ap;
-    double done_us = ev.time_us;
+  // The static TDMA schedule, in time order: tag at slot s, round r is
+  // queried at r*round + s*slot on its group's timeline and replies
+  // query + adv/2 later. PollingConfig::validated() keeps adv > 0, so the
+  // reply delay is shorter than a slot: every reply lands before the
+  // shard's next query and is handled right after its own.
+  for (std::uint64_t r = 0; r < cfg_.rounds; ++r) {
+    for (std::size_t s = sh.begin; s < sh.end; ++s) {
+      const std::uint32_t tag = group_tags_[g][s];
+      const std::size_t i = s - sh.begin;
+      TagStats& ts = local[i];
+      TagState& st = state[i];
+      const TagLink& link = links_[tag];
+      const mac::LinkWaveform wf = st.fallback.current();
+      const auto wi = static_cast<std::size_t>(wf);
+      double t_us = static_cast<double>(r) * grp.round_us +
+                    static_cast<double>(s) * plan.slot_us;
 
-    if (ev.type == EventType::kQuery) {
       // Skipped polls make no RNG draws; every (tag, round, phase)
       // substream stays independent of the gates, so the digest contract
       // holds.
-      const PollStart start = resolver.start(
-          ts, st, gates_at(link, timeline_, tag, ev.time_us), ev.time_us);
-      if (start.failover) ap = link.failover_ap;
+      const PollStart start =
+          resolver.start(ts, st, gates_at(link, timeline_, tag, t_us), t_us);
+      const std::uint32_t ap = start.failover ? link.failover_ap : link.ap;
       if (start.skipped) {
-        tracer.poll(ev.time_us, tag, round, *start.skipped, wf, ap, false);
+        tracer.poll(t_us, tag, r, *start.skipped, wf, ap, false);
         continue;
       }
-      auto rng =
-          entity_stream(cfg_.seed, tag, phase_counter(round, kQueryPhase));
+      PollOutcome out = PollOutcome::kDelivered;
+      auto query_rng =
+          entity_stream(cfg_.seed, tag, phase_counter(r, kQueryPhase));
       const Real miss = start.failover ? link.failover_downlink_miss_prob
                                        : link.downlink_miss_prob;
-      if (rng.uniform() >= miss) {
-        // The addressed tag replies mid-way through the advertising window
-        // that follows the query.
-        queue.schedule(ev.time_us + plan.query_us +
-                           0.5 * cfg_.polling.advertising_interval_ms * 1e3,
-                       EventType::kReply, tag,
-                       ev.data | (start.failover ? kFailoverBit : 0));
-        continue;
-      }
-      out = PollOutcome::kDownlinkMiss;
-    } else {
-      // kReply: reservation outcome, then budget-level decode.
-      const bool failover = (ev.data & kFailoverBit) != 0;
-      if (failover) ap = link.failover_ap;
-      auto rng =
-          entity_stream(cfg_.seed, tag, phase_counter(round, kReplyPhase));
-      ts.airtime_us += grp.control_amortized_us;
-      // Interference bursts raise the CCA busy probability; the reservation
-      // closed form is cheap enough to re-solve live for the affected slots.
-      const Real busy_boost = timeline_.any()
-                                  ? timeline_.channel_busy_boost(g, ev.time_us)
-                                  : Real{0.0};
-      const Real busy = std::min(ch.busy_probability + busy_boost, 0.99);
-      const mac::ReservationOutcome oc =
-          busy_boost > 0.0 ? reservation_at(cfg_, busy) : grp.reservation;
-      const double u = rng.uniform();
-      if (u >= oc.p_clean + oc.p_collision) {
-        out = PollOutcome::kReservationDenied;  // silent: not granted
+      if (query_rng.uniform() < miss) {
+        out = PollOutcome::kDownlinkMiss;
       } else {
-        ts.airtime_us += plan.attempt_airtime_us[wi];
-        ts.tx_energy_nj += grp.attempt_energy_nj[wi];
-        if (u >= oc.p_clean) {
-          out = PollOutcome::kCollision;
+        // The addressed tag replies mid-way through the advertising window
+        // that follows the query: reservation outcome, then budget-level
+        // decode.
+        t_us = t_us + plan.query_us +
+               0.5 * cfg_.polling.advertising_interval_ms * 1e3;
+        auto reply_rng =
+            entity_stream(cfg_.seed, tag, phase_counter(r, kReplyPhase));
+        ts.airtime_us += grp.control_amortized_us;
+        // Interference bursts raise the CCA busy probability; the
+        // reservation closed form is cheap enough to re-solve live for the
+        // affected slots.
+        const Real busy_boost = timeline_.any()
+                                    ? timeline_.channel_busy_boost(g, t_us)
+                                    : Real{0.0};
+        const Real busy = std::min(ch.busy_probability + busy_boost, 0.99);
+        const mac::ReservationOutcome oc =
+            busy_boost > 0.0 ? reservation_at(cfg_, busy) : grp.reservation;
+        const double u = reply_rng.uniform();
+        if (u >= oc.p_clean + oc.p_collision) {
+          out = PollOutcome::kReservationDenied;  // silent: not granted
         } else {
-          // Active noise-floor faults (bursts, slumps) force the PER back
-          // through the closed form at the degraded SNR; clean slots use
-          // the precomputed per-rung table.
-          Real per = failover ? link.failover_waveform_per[wi]
-                              : link.waveform_per[wi];
-          const Real rise =
-              timeline_.any() ? timeline_.channel_noise_rise_db(g, ev.time_us)
-                              : Real{0.0};
-          if (rise > 0.0) {
-            const Real snr = (failover ? link.failover_snr_db : link.snr_db) -
-                             ch.leakage_noise_rise_db - rise;
-            per = waveform_per_at(wf, snr, wire_bytes_);
+          ts.airtime_us += plan.attempt_airtime_us[wi];
+          ts.tx_energy_nj += grp.attempt_energy_nj[wi];
+          if (u >= oc.p_clean) {
+            out = PollOutcome::kCollision;
+          } else {
+            // Active noise-floor faults (bursts, slumps) force the PER back
+            // through the closed form at the degraded SNR; clean slots use
+            // the precomputed per-rung table.
+            Real per = start.failover ? link.failover_waveform_per[wi]
+                                      : link.waveform_per[wi];
+            const Real rise = timeline_.any()
+                                  ? timeline_.channel_noise_rise_db(g, t_us)
+                                  : Real{0.0};
+            if (rise > 0.0) {
+              const Real snr =
+                  (start.failover ? link.failover_snr_db : link.snr_db) -
+                  ch.leakage_noise_rise_db - rise;
+              per = waveform_per_at(wf, snr, wire_bytes_);
+            }
+            if (reply_rng.uniform() < per) out = PollOutcome::kDecodeFailure;
           }
-          if (rng.uniform() < per) out = PollOutcome::kDecodeFailure;
         }
       }
+
+      double done_us = t_us;
       if (out == PollOutcome::kDelivered) {
         ts.payload_bits += plan.delivered_bits;
         done_us += plan.attempt_airtime_us[wi];
         res.stats.query_latency.record(done_us - pending_since[i]);
-        pending_since[i] = static_cast<double>(round + 1) * grp.round_us;
+        pending_since[i] = static_cast<double>(r + 1) * grp.round_us;
       }
-    }
-
-    tracer.poll(ev.time_us, tag, round, out, wf, ap,
-                resolver.retransmission(st));
-    const AttemptEnd end = resolver.finish(ts, st, out, done_us);
-    if (end.delivered_after > 0) {
-      res.stats.retry_histogram.record(end.delivered_after);
-    }
-    if (end.recovered_after_us) {
-      res.stats.recovery_time.record(*end.recovered_after_us);
-    }
-    if (st.fallback.current() != wf) {
-      tracer.rate_shift(done_us, out == PollOutcome::kDelivered,
-                        st.fallback.current());
+      tracer.poll(t_us, tag, r, out, wf, ap, resolver.retransmission(st));
+      const AttemptEnd end = resolver.finish(ts, st, out, done_us);
+      if (end.delivered_after > 0) {
+        res.stats.retry_histogram.record(end.delivered_after);
+      }
+      if (end.recovered_after_us) {
+        res.stats.recovery_time.record(*end.recovered_after_us);
+      }
+      if (st.fallback.current() != wf) {
+        tracer.rate_shift(done_us, out == PollOutcome::kDelivered,
+                          st.fallback.current());
+      }
     }
   }
 

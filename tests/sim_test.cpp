@@ -1,5 +1,5 @@
-// Tests for the discrete-event multi-tag network simulator (src/sim/):
-// engine ordering + determinism contract, topology generators, and the
+// Tests for the multi-tag network simulator (src/sim/): RNG substreams,
+// topology generators, and the
 // NetworkCoordinator's FDMA x TDMA behavior — including the acceptance
 // criterion that a >= 1000-tag, >= 3-channel run is bit-identical at 1, 2,
 // and 8 worker threads.
@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "mac/query_reply.h"
-#include "sim/event_queue.h"
+#include "sim/faults.h"
 #include "sim/network.h"
 #include "sim/stats.h"
 #include "sim/topology.h"
@@ -19,69 +19,9 @@
 namespace itb::sim {
 namespace {
 
-// --- event queue -------------------------------------------------------------
+// --- RNG substreams ----------------------------------------------------------
 
-TEST(EventQueue, PopsInTimeOrder) {
-  EventQueue q;
-  q.schedule(30.0, EventType::kQuery, 1);
-  q.schedule(10.0, EventType::kQuery, 2);
-  q.schedule(20.0, EventType::kReply, 3);
-  EXPECT_EQ(q.size(), 3u);
-  EXPECT_DOUBLE_EQ(q.pop().time_us, 10.0);
-  EXPECT_DOUBLE_EQ(q.pop().time_us, 20.0);
-  EXPECT_DOUBLE_EQ(q.pop().time_us, 30.0);
-  EXPECT_TRUE(q.empty());
-}
-
-TEST(EventQueue, TieBreaksByTypeThenEntityThenSeq) {
-  // Same instant: kQuery(0) before kReply(1); same type: lower entity
-  // first; same entity: creation order.
-  EventQueue q;
-  q.schedule(5.0, EventType::kReply, 7, 100);
-  q.schedule(5.0, EventType::kQuery, 9, 101);
-  q.schedule(5.0, EventType::kQuery, 2, 102);
-  q.schedule(5.0, EventType::kQuery, 2, 103);
-  EXPECT_EQ(q.pop().data, 102u);
-  EXPECT_EQ(q.pop().data, 103u);
-  EXPECT_EQ(q.pop().data, 101u);
-  EXPECT_EQ(q.pop().data, 100u);
-}
-
-TEST(EventQueue, TotalOrderIsInsertionInvariant) {
-  // The same event set scheduled in two different orders pops identically
-  // apart from seq (which encodes insertion order by design).
-  const std::vector<double> times = {3.0, 1.0, 2.0, 1.0, 3.0, 2.0};
-  std::vector<std::uint32_t> a_order, b_order;
-  {
-    EventQueue q;
-    for (std::size_t i = 0; i < times.size(); ++i) {
-      q.schedule(times[i], EventType::kQuery, static_cast<std::uint32_t>(i));
-    }
-    while (!q.empty()) a_order.push_back(q.pop().entity);
-  }
-  {
-    EventQueue q;
-    for (std::size_t i = times.size(); i-- > 0;) {
-      q.schedule(times[i], EventType::kQuery, static_cast<std::uint32_t>(i));
-    }
-    while (!q.empty()) b_order.push_back(q.pop().entity);
-  }
-  EXPECT_EQ(a_order, b_order);
-}
-
-TEST(EventQueue, RejectsSchedulingInThePast) {
-  EventQueue q;
-  q.schedule(10.0, EventType::kQuery, 0);
-  (void)q.pop();
-  EXPECT_DOUBLE_EQ(q.now_us(), 10.0);
-  EXPECT_THROW(q.schedule(9.0, EventType::kQuery, 0), std::logic_error);
-  EXPECT_NO_THROW(q.schedule(10.0, EventType::kQuery, 0));  // same instant ok
-  (void)q.pop();
-  EXPECT_TRUE(q.empty());
-  EXPECT_THROW(q.pop(), std::logic_error);  // popping empty is a bug
-}
-
-TEST(EventQueue, EntityStreamsAreScheduleIndependent) {
+TEST(EntityStream, ScheduleIndependent) {
   // The same (seed, entity, counter) coordinates give the same draws no
   // matter what other streams were consumed first.
   auto a = entity_stream(42, 7, 3);
