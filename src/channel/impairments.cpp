@@ -276,11 +276,6 @@ Real impaired_snr_db(const ImpairmentConfig& cfg, Real snr_db,
   return itb::dsp::ratio_to_db(snr_lin / (1.0 + snr_lin * evm2));
 }
 
-Real impairment_snr_penalty_db(const ImpairmentConfig& cfg, Real snr_db,
-                               Real symbol_rate_hz) {
-  return snr_db - impaired_snr_db(cfg, snr_db, symbol_rate_hz);
-}
-
 ImpairmentConfig implant_tissue_preset(Real sample_rate_hz, Real carrier_hz) {
   ImpairmentConfig cfg;
   cfg.carrier_hz = carrier_hz;

@@ -117,11 +117,6 @@ class ImpairmentChain {
 Real impaired_snr_db(const ImpairmentConfig& cfg, Real snr_db,
                      Real symbol_rate_hz);
 
-/// Convenience: the SNR penalty (dB >= 0) the impairments cost at this
-/// operating point.
-Real impairment_snr_penalty_db(const ImpairmentConfig& cfg, Real snr_db,
-                               Real symbol_rate_hz);
-
 // --- presets for the paper's deployment scenarios -------------------------
 // Each takes the waveform's sample rate because the chain is applied at
 // baseband; the carrier default matches the 2.4 GHz ISM band.

@@ -65,8 +65,6 @@ std::int64_t now_ns() {
 
 void prof_enable(bool on) { g_enabled.store(on, std::memory_order_relaxed); }
 
-bool prof_enabled() { return g_enabled.load(std::memory_order_relaxed); }
-
 void prof_reset() {
   ZoneNames& n = names();
   const std::lock_guard<std::mutex> lock(n.mu);

@@ -30,7 +30,6 @@ namespace itb::obs {
 /// Globally enables/disables zone timing. Off by default. Toggling does not
 /// clear accumulated times (see prof_reset()).
 void prof_enable(bool on);
-bool prof_enabled();
 
 /// Zeroes every zone's accumulators (registered names survive).
 void prof_reset();

@@ -201,7 +201,6 @@ Bytes OqpskDemodulator::soft_chips_to_bytes(const CVec& soft,
 Bytes OqpskDemodulator::chips_to_bytes(const Bits& chips) const {
   const std::size_t nsym = chips.size() / kChipsPerSymbol;
   Bytes out;
-  last_worst_distance_ = 0;
   for (std::size_t s = 0; s + 1 < nsym + 1; s += 2) {
     std::uint8_t byte = 0;
     for (unsigned nib = 0; nib < 2; ++nib) {
@@ -220,7 +219,6 @@ Bytes OqpskDemodulator::chips_to_bytes(const Bits& chips) const {
           best_sym = cand;
         }
       }
-      last_worst_distance_ = std::max(last_worst_distance_, best_dist);
       byte |= static_cast<std::uint8_t>(nib == 0 ? best_sym : best_sym << 4);
     }
     out.push_back(byte);

@@ -86,13 +86,8 @@ class OqpskDemodulator {
   /// chips.
   Bytes soft_chips_to_bytes(const CVec& soft, std::size_t block_chips = 4) const;
 
-  /// Minimum chip-pattern Hamming distance of the last chips_to_bytes call's
-  /// worst symbol (diagnostic for link quality / LQI modeling).
-  std::size_t last_worst_distance() const { return last_worst_distance_; }
-
  private:
   OqpskConfig cfg_;
-  mutable std::size_t last_worst_distance_ = 0;
 };
 
 }  // namespace itb::zigbee
