@@ -1,5 +1,5 @@
 // Network-simulator scale benchmark: how many tags (and polls) per second
-// the discrete-event engine sustains at budget fidelity, single- and
+// the fleet simulator sustains at budget fidelity, single- and
 // multi-threaded. Feeds the BENCH_net_scale.json trajectory; the seed
 // baseline lives in bench/baselines/seed_net_scale.json.
 //

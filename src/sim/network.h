@@ -45,13 +45,15 @@
 //
 // Determinism: see DESIGN.md "Network simulator determinism" and "Fault
 // model and recovery determinism". Shards are a fixed partition of the tag
-// list (independent of thread count), each shard runs its own EventQueue,
-// every stochastic decision draws from an entity_stream() substream keyed
-// by (tag, round), the fault timeline is immutable and queried as a pure
-// function of (entity, time), ARQ/fallback state is a pure fold over one
-// tag's own attempt outcomes, and the final reduction is a sequential
-// index-ordered merge — so run() is bit-identical at any thread count
-// (asserted in tests/sim_test.cpp and tests/resilience_test.cpp).
+// list (independent of thread count), each shard walks its static TDMA
+// schedule (a reply lands before the next query, so loop order is time
+// order), every stochastic decision draws from an entity_stream()
+// substream keyed by (tag, round), the fault timeline is immutable and
+// queried as a pure function of (entity, time), ARQ/fallback state is a
+// pure fold over one tag's own attempt outcomes, and the final reduction
+// is a sequential index-ordered merge — so run() is bit-identical at any
+// thread count (asserted in tests/sim_test.cpp and
+// tests/resilience_test.cpp).
 #pragma once
 
 #include <array>
@@ -245,8 +247,8 @@ class NetworkCoordinator {
  private:
   struct ShardResult;  ///< one shard's share of the run's NetworkStats
 
-  /// Runs shard `si`'s event loop into `res` (and its slots of `per_tag`,
-  /// when kept).
+  /// Runs shard `si`'s poll schedule into `res` (and its slots of
+  /// `per_tag`, when kept).
   void run_shard(const RunPlan& plan, std::size_t si, ShardResult& res,
                  obs::TraceBuffer* trace, std::vector<TagStats>& per_tag) const;
   /// Completes the shard's per-tag stats and folds them into `res`.

@@ -1,8 +1,7 @@
 // Tests for the multi-tag network simulator (src/sim/): RNG substreams,
-// topology generators, and the
-// NetworkCoordinator's FDMA x TDMA behavior — including the acceptance
-// criterion that a >= 1000-tag, >= 3-channel run is bit-identical at 1, 2,
-// and 8 worker threads.
+// topology generators, and the NetworkCoordinator's FDMA x TDMA behavior —
+// including the acceptance criterion that a >= 1000-tag, >= 3-channel run
+// is bit-identical at 1, 2, and 8 worker threads.
 #include <gtest/gtest.h>
 
 #include <chrono>
