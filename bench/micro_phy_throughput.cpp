@@ -5,14 +5,17 @@
 
 #include "backscatter/ssb_modulator.h"
 #include "backscatter/wifi_synth.h"
+#include "backscatter/zigbee_synth.h"
 #include "ble/gfsk.h"
 #include "ble/single_tone.h"
+#include "channel/awgn.h"
 #include "channel/impairments.h"
 #include "core/monte_carlo.h"
 #include "dsp/correlate.h"
 #include "dsp/fft.h"
 #include "dsp/fft_plan.h"
 #include "dsp/fir.h"
+#include "dsp/resample.h"
 #include "dsp/rng.h"
 #include "dsp/simd/dispatch.h"
 #include "wifi/cck.h"
@@ -326,6 +329,41 @@ void BM_ZigbeeTransmit(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * 20);
 }
 BENCHMARK(BM_ZigbeeTransmit);
+
+// The two uplink receive-front-end kernels, each on one real frame: the
+// 11 Mbps Wi-Fi leg's -fs/4 down-shift at 143 Msps (31-byte PSDU), and the
+// ZigBee leg's 97-tap decimate-by-12 from 96 Msps (20-byte payload, already
+// shifted down by 6 MHz). Items are input samples.
+void BM_ShiftQuarterRate143M(benchmark::State& state) {
+  backscatter::WifiSynthConfig cfg;
+  cfg.rate = wifi::DsssRate::k11Mbps;
+  const phy::Bytes psdu(31, 0x5A);
+  const dsp::CVec x = backscatter::synthesize_wifi(psdu, cfg).waveform;
+  for (auto _ : state) {
+    auto y = channel::apply_cfo(x, -cfg.shift_hz, cfg.sample_rate_hz);
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(x.size()));
+}
+BENCHMARK(BM_ShiftQuarterRate143M);
+
+void BM_Decimate12x97ZigbeeFrame(benchmark::State& state) {
+  const backscatter::ZigbeeSynthConfig cfg;
+  const phy::Bytes payload(20, 0x42);
+  const dsp::CVec x =
+      channel::apply_cfo(backscatter::synthesize_zigbee(payload, cfg).waveform,
+                         -cfg.shift_hz, cfg.sample_rate_hz);
+  for (auto _ : state) {
+    auto y = dsp::decimate(x, 12);
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(x.size()));
+}
+BENCHMARK(BM_Decimate12x97ZigbeeFrame);
 
 }  // namespace
 

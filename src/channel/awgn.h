@@ -48,6 +48,15 @@ CVec add_noise_snr(const CVec& x, Real snr_db, itb::dsp::Xoshiro256& rng);
 /// Applies a static carrier frequency offset and initial phase.
 /// The Real overload takes the offset in Hz; prefer the typed overload when
 /// the offset originates from an oscillator tolerance in ppm.
+///
+/// When the initial phase is 0 and cfo_hz / sample_rate_hz times some
+/// q <= 64 is exactly an integer p (every f_clk/(4k) tag down-shift), the
+/// rotation is periodic: q phasors are built once without libm and sample n
+/// is turned by phasor n*p mod q, with no accumulated phase. Quarter-turn
+/// shifts (q dividing 4) are exact swaps and negations. Other offsets go
+/// through libm cos/sin of an accumulated phase. A non-finite or
+/// non-positive sample rate, or a non-finite offset or phase, throws
+/// std::invalid_argument.
 CVec apply_cfo(const CVec& x, Real cfo_hz, Real sample_rate_hz,
                Real initial_phase_rad = 0.0);
 CVec apply_cfo(const CVec& x, FrequencyOffset offset, Real sample_rate_hz,

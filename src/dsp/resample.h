@@ -12,13 +12,17 @@
 namespace itb::dsp {
 
 /// Integer upsampling: zero-stuff by factor L then low-pass interpolate.
-/// Output length is exactly x.size() * L.
+/// Output length is exactly x.size() * L. L == 0 throws
+/// std::invalid_argument.
 CVec upsample(std::span<const Complex> x, std::size_t factor);
 
 /// Integer decimation: anti-alias low-pass then keep every Mth sample
 /// (indices 0, M, 2M, ...). Output length is ceil(x.size() / M): a trailing
 /// partial stride still contributes its first sample, so frame tails at
-/// non-divisible lengths are never silently dropped.
+/// non-divisible lengths are never silently dropped. Only the kept samples
+/// are filtered (polyphase), each summed in convolve_direct's order, so the
+/// result equals filter_same-then-pick bit for bit wherever filter_same
+/// takes the direct path. M == 0 throws std::invalid_argument.
 CVec decimate(std::span<const Complex> x, std::size_t factor);
 
 /// Linear-interpolation resampler to an arbitrary rational/real ratio

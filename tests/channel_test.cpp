@@ -2,7 +2,10 @@
 // backscatter link budget.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
 
@@ -134,6 +137,130 @@ TEST(Awgn, TypedFrequencyOffsetUnifiesPpmAndHz) {
     EXPECT_EQ(y[i].real(), z[i].real());
     EXPECT_EQ(y[i].imag(), z[i].imag());
   }
+}
+
+/// apply_cfo's general path: libm cos/sin of an accumulated phase.
+itb::dsp::CVec libm_accumulator(const itb::dsp::CVec& x, Real cfo_hz, Real fs,
+                                Real phase0) {
+  itb::dsp::CVec out(x.size());
+  const Real step = itb::dsp::kTwoPi * cfo_hz / fs;
+  Real phase = phase0;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    out[i] = x[i] * itb::dsp::Complex{std::cos(phase), std::sin(phase)};
+    phase += step;
+  }
+  return out;
+}
+
+void expect_bit_identical(const itb::dsp::CVec& want,
+                          const itb::dsp::CVec& got) {
+  ASSERT_EQ(want.size(), got.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(want[i].real()),
+              std::bit_cast<std::uint64_t>(got[i].real()))
+        << i;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(want[i].imag()),
+              std::bit_cast<std::uint64_t>(got[i].imag()))
+        << i;
+  }
+}
+
+itb::dsp::CVec gaussian_cvec(std::size_t n, std::uint64_t seed) {
+  itb::dsp::Xoshiro256 rng(itb::dsp::splitmix64(seed));
+  itb::dsp::CVec x(n);
+  itb::dsp::fill_complex_gaussian(x, 1.0, rng);
+  return x;
+}
+
+struct PeriodicShift {
+  Real cfo_hz;
+  Real fs;
+  long p;  // cfo / fs = p / q cycles per sample, 0 <= p < q
+  long q;
+};
+
+// The Wi-Fi leg's -fs/4 at 143 Msps, the ZigBee leg's 6 MHz at 96 Msps, and
+// 1 MHz at 20 Msps.
+constexpr PeriodicShift kPeriodicShifts[] = {
+    {-35.75e6, 143e6, 3, 4}, {6e6, 96e6, 1, 16}, {1e6, 20e6, 1, 20}};
+
+TEST(Awgn, PeriodicShiftMatchesLibmPhasors) {
+  // Over 1e5 samples the periodic path stays within rounding of libm's
+  // cos/sin of the exact angle 2 pi (n p mod q) / q. The old accumulated
+  // phase drifts away from that angle (~2e-7 by the end), so it is only
+  // held to that drift.
+  const std::size_t n = 100'000;
+  const itb::dsp::CVec ones(n, itb::dsp::Complex{1.0, 0.0});
+  for (const PeriodicShift& c : kPeriodicShifts) {
+    const itb::dsp::CVec y = apply_cfo(ones, c.cfo_hz, c.fs);
+    const itb::dsp::CVec acc = libm_accumulator(ones, c.cfo_hz, c.fs, 0.0);
+    Real vs_exact = 0.0;
+    Real vs_acc = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const Real a = itb::dsp::kTwoPi *
+                     static_cast<Real>(static_cast<long>(i) * c.p % c.q) /
+                     static_cast<Real>(c.q);
+      vs_exact = std::max(
+          vs_exact, std::abs(y[i] - itb::dsp::Complex{std::cos(a), std::sin(a)}));
+      vs_acc = std::max(vs_acc, std::abs(y[i] - acc[i]));
+    }
+    EXPECT_LE(vs_exact, 4e-15) << "q=" << c.q;
+    EXPECT_LE(vs_acc, 1e-6) << "q=" << c.q;
+  }
+}
+
+TEST(Awgn, PeriodicShiftRepeatsExactly) {
+  // No phase accumulates: sample n and sample n + q get the same phasor,
+  // and a quarter-rate shift multiplies by exactly 1, -j, -1, j.
+  const itb::dsp::CVec x = gaussian_cvec(4096, 5);
+  for (const PeriodicShift& c : kPeriodicShifts) {
+    const auto q = static_cast<std::size_t>(c.q);
+    const itb::dsp::CVec ones(x.size() + q, itb::dsp::Complex{1.0, 0.0});
+    const itb::dsp::CVec w = apply_cfo(ones, c.cfo_hz, c.fs);
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      ASSERT_EQ(w[i], w[i + q]) << "q=" << c.q << " i=" << i;
+    }
+    if (c.q != 4) continue;
+    const itb::dsp::CVec y = apply_cfo(x, c.cfo_hz, c.fs);
+    for (std::size_t i = 0; i + 4 <= x.size(); i += 4) {
+      ASSERT_EQ(y[i], x[i]);
+      ASSERT_EQ(y[i + 1], (itb::dsp::Complex{x[i + 1].imag(), -x[i + 1].real()}));
+      ASSERT_EQ(y[i + 2], -x[i + 2]);
+      ASSERT_EQ(y[i + 3], (itb::dsp::Complex{-x[i + 3].imag(), x[i + 3].real()}));
+    }
+  }
+}
+
+TEST(Awgn, NonRationalShiftTakesLibmPath) {
+  // 99 kHz at 20 Msps is 99/20000 cycles per sample: no period <= 64, so
+  // the libm accumulator runs, bit for bit as before.
+  const itb::dsp::CVec x = gaussian_cvec(20'000, 6);
+  expect_bit_identical(libm_accumulator(x, 99e3, 20e6, 0.0),
+                       apply_cfo(x, 99e3, 20e6));
+}
+
+TEST(Awgn, InitialPhaseTakesLibmPath) {
+  // A non-zero initial phase is not folded into the periodic phasors: even
+  // a quarter-rate shift then runs the libm accumulator.
+  const itb::dsp::CVec x = gaussian_cvec(4096, 7);
+  expect_bit_identical(libm_accumulator(x, -35.75e6, 143e6, 0.3),
+                       apply_cfo(x, -35.75e6, 143e6, 0.3));
+  expect_bit_identical(libm_accumulator(x, 6e6, 96e6, -1.0),
+                       apply_cfo(x, 6e6, 96e6, -1.0));
+}
+
+TEST(Awgn, CfoRejectsInvalidArguments) {
+  // A bad sample rate used to come back as a vector of NaNs.
+  const itb::dsp::CVec x(8, itb::dsp::Complex{1.0, 0.0});
+  const Real inf = std::numeric_limits<Real>::infinity();
+  const Real nan = std::numeric_limits<Real>::quiet_NaN();
+  for (const Real fs : {0.0, -1e6, inf, -inf, nan}) {
+    EXPECT_THROW(apply_cfo(x, 1e3, fs), std::invalid_argument) << fs;
+  }
+  for (const Real cfo : {inf, -inf, nan}) {
+    EXPECT_THROW(apply_cfo(x, cfo, 1e6), std::invalid_argument) << cfo;
+  }
+  EXPECT_THROW(apply_cfo(x, 1e3, 1e6, nan), std::invalid_argument);
 }
 
 TEST(Awgn, GainScalesPower) {

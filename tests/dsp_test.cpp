@@ -2,7 +2,10 @@
 // spectrum estimation, resampling, correlation, units and RNG.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -442,6 +445,89 @@ TEST(Resample, DecimateKeepsTrailingPartialStride) {
   EXPECT_EQ(decimate(x9, 3).size(), 3u);    // exact division unchanged
   const CVec x1(1, Complex{1.0, 0.0});
   EXPECT_EQ(decimate(x1, 8).size(), 1u);    // a lone sample survives
+}
+
+/// What decimate computed before it went polyphase: the whole anti-alias
+/// filter through filter_same, then every factor-th sample.
+CVec filter_then_pick(const CVec& x, std::size_t factor) {
+  const RVec lp = design_lowpass(8 * factor + 1, 0.45 / static_cast<Real>(factor));
+  const CVec filtered = filter_same(x, lp);
+  CVec out((x.size() + factor - 1) / factor);
+  for (std::size_t i = 0; i < out.size(); ++i) out[i] = filtered[i * factor];
+  return out;
+}
+
+CVec gaussian_cvec(std::size_t n, std::uint64_t seed) {
+  Xoshiro256 rng(splitmix64(seed));
+  CVec x(n);
+  fill_complex_gaussian(x, 1.0, rng);
+  return x;
+}
+
+void expect_bit_identical(const CVec& want, const CVec& got) {
+  ASSERT_EQ(want.size(), got.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(want[i].real()),
+              std::bit_cast<std::uint64_t>(got[i].real()))
+        << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(want[i].imag()),
+              std::bit_cast<std::uint64_t>(got[i].imag()))
+        << i;
+  }
+}
+
+TEST(Resample, PolyphaseDecimateMatchesDirectFilterBitForBit) {
+  // Wherever filter_same takes the direct path, the polyphase decimator
+  // must reproduce it exactly: same taps, same per-output sum order. The
+  // lengths cover inputs shorter than the filter, a lone sample, a factor
+  // larger than the input, and lengths around the four-output blocks.
+  struct Case {
+    std::size_t n;
+    std::size_t factor;
+  };
+  const Case cases[] = {{1, 2},    {1, 12},   {5, 12},   {10, 3},
+                        {24, 3},   {40, 4},   {97, 12},  {100, 8},
+                        {200, 6},  {300, 12}, {900, 4},  {1000, 2},
+                        {1200, 3}, {1201, 3}, {2047, 3}};
+  for (const Case& c : cases) {
+    const std::size_t taps = 8 * c.factor + 1;
+    ASSERT_FALSE(convolve_prefers_fft(c.n, taps)) << c.n << "x" << taps;
+    const CVec x = gaussian_cvec(c.n, 31 + c.n);
+    SCOPED_TRACE(testing::Message() << "n=" << c.n << " factor=" << c.factor);
+    expect_bit_identical(filter_then_pick(x, c.factor), decimate(x, c.factor));
+  }
+}
+
+TEST(Resample, PolyphaseDecimateCloseToSpectralFilterOnZigbeeFrame) {
+  // An 86k-sample frame through the 97-tap decimate-by-12 used to run the
+  // spectral (overlap-save) filter; the direct sums agree with it to
+  // rounding.
+  const std::size_t n = 86'000;
+  ASSERT_TRUE(convolve_prefers_fft(n, 97));
+  const CVec x = gaussian_cvec(n, 86);
+  const CVec want = filter_then_pick(x, 12);
+  const CVec got = decimate(x, 12);
+  ASSERT_EQ(got.size(), want.size());
+  Real peak = 0.0;
+  Real worst = 0.0;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    peak = std::max(peak, std::abs(want[i]));
+    worst = std::max(worst, std::abs(got[i] - want[i]));
+  }
+  EXPECT_LE(worst, 1e-12 * peak);
+}
+
+// A zero factor used to be guarded only by assert; with NDEBUG the ceil
+// length (n + factor - 1) / factor divided by zero.
+TEST(Resample, DecimateZeroFactorThrows) {
+  const CVec x(16, Complex{1.0, 0.0});
+  EXPECT_THROW(decimate(x, 0), std::invalid_argument);
+  EXPECT_THROW(decimate(CVec{}, 0), std::invalid_argument);
+}
+
+TEST(Resample, UpsampleZeroFactorThrows) {
+  const CVec x(16, Complex{1.0, 0.0});
+  EXPECT_THROW(upsample(x, 0), std::invalid_argument);
 }
 
 TEST(Resample, LinearResampleRoundingOvershootStaysInBounds) {

@@ -18,7 +18,9 @@
 #include <string>
 #include <vector>
 
+#include "channel/awgn.h"
 #include "channel/impairments.h"
+#include "core/interscatter.h"
 #include "core/monte_carlo.h"
 #include "dsp/correlate.h"
 #include "dsp/fft_plan.h"
@@ -140,8 +142,10 @@ TEST(PhyBitsGolden, OverlapSaveConvolve) {
   EXPECT_DIGEST(0x780be797e4f92855ULL, fnv64(y));
 }
 
-// design_lowpass is a windowed sinc (libm sin/cos). Factor 3 filters with
-// 25 taps on the direct path, factor 8 with 65 taps on the spectral path.
+// design_lowpass is a windowed sinc (libm sin/cos). decimate computes only
+// the kept outputs, each summed in convolve_direct's order: factor 3 (25
+// taps) matches what filter_same's direct path gave, factor 8 (65 taps)
+// what it gives now that the spectral path is no longer taken.
 TEST(PhyBitsGolden, Decimate) {
   const CVec x = gaussian_cvec(2048, 110);
   const CVec d3 = dsp::decimate(x, 3);
@@ -149,7 +153,42 @@ TEST(PhyBitsGolden, Decimate) {
   ASSERT_EQ(d3.size(), (2048u + 2u) / 3u);
   ASSERT_EQ(d8.size(), 2048u / 8u);
   EXPECT_DIGEST(0x3b3da9aca8c754f4ULL, fnv64(d3));
-  EXPECT_DIGEST(0xe89951cd50884f6aULL, fnv64(d8));
+  EXPECT_DIGEST(0xd03dde7e3b49c081ULL, fnv64(d8));
+}
+
+// The exact periodic down-shift, libm-free: -1/4 cycle per sample (the
+// Wi-Fi leg, swaps and negations) and +1/16 (the ZigBee leg, phasors from
+// the in-repo polynomial).
+TEST(PhyBitsGolden, PeriodicShift) {
+  const CVec x = gaussian_cvec(1000, 113);
+  EXPECT_DIGEST(0xc555b993679e5f08ULL,
+                fnv64(channel::apply_cfo(x, -35.75e6, 143e6)));
+  EXPECT_DIGEST(0xfb1bb12b31bfcc2cULL,
+                fnv64(channel::apply_cfo(x, 6e6, 96e6)));
+}
+
+// Outcome of the whole 11 Mbps uplink frame (synthesis, periodic shift,
+// chip filter, implant impairments, noise, receiver) at 2, 12, 16 and 20 m
+// for one scenario seed. The far points decode with bit errors, so the
+// decoded bytes depend on the waveform bits.
+TEST(PhyBitsGolden, SimulateFrameImplant) {
+  const phy::Bytes psdu = {0x49, 0x54, 0x42, 0x00, 0x5a, 0xa5, 0x3c, 0xc3,
+                           0x01, 0x80, 0x7e, 0xe7, 0x10, 0x20, 0x40, 0x08};
+  std::vector<unsigned char> outcome;
+  for (const Real m : {2.0, 12.0, 16.0, 20.0}) {
+    core::UplinkScenario sc;
+    sc.rate = wifi::DsssRate::k11Mbps;
+    sc.impairment_preset = channel::ImpairmentPreset::kImplantTissue;
+    sc.tag_rx_distance_m = m;
+    sc.seed = 1;
+    const auto r = core::InterscatterSystem(sc).simulate_frame(psdu);
+    outcome.push_back(r.detected ? 1 : 0);
+    outcome.push_back(r.payload_ok ? 1 : 0);
+    const auto* rssi = reinterpret_cast<const unsigned char*>(&r.rssi_dbm);
+    outcome.insert(outcome.end(), rssi, rssi + sizeof r.rssi_dbm);
+    outcome.insert(outcome.end(), r.decoded_psdu.begin(), r.decoded_psdu.end());
+  }
+  EXPECT_DIGEST(0x0d46c61b9f6477d6ULL, fnv64(outcome));
 }
 
 TEST(PhyBitsGolden, FftForwardInverse) {
