@@ -23,6 +23,8 @@ namespace itb::core {
 template <typename Fn>
 void parallel_for(std::size_t count, std::size_t num_threads, Fn&& fn) {
   if (count == 0) return;
+  // Zones the workers open count as children of the caller's open zone.
+  obs::ProfFanOut fan_out;
   static const std::size_t kZone = obs::prof_zone("core.parallel_for");
   obs::ProfZone prof(kZone);
   std::size_t workers = num_threads != 0 ? num_threads
@@ -41,6 +43,7 @@ void parallel_for(std::size_t count, std::size_t num_threads, Fn&& fn) {
   pool.reserve(workers);
   for (std::size_t w = 0; w < workers; ++w) {
     pool.emplace_back([&] {
+      const obs::ProfFanOut::Worker attach(fan_out);
       try {
         for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
              i < count; i = next.fetch_add(1, std::memory_order_relaxed)) {

@@ -218,10 +218,15 @@ RateFallbackController::RateFallbackController(const FallbackConfig& cfg,
                                                LinkWaveform initial)
     : cfg_(cfg.validated()), initial_(initial), current_(initial) {}
 
+LinkWaveform lowest_reachable(const FallbackConfig& cfg,
+                              LinkWaveform initial) {
+  if (!cfg.enable_rate_fallback) return initial;
+  if (cfg.enable_zigbee_fallback) return LinkWaveform::kZigbee;
+  return std::max(initial, LinkWaveform::kWifi1Mbps);
+}
+
 bool RateFallbackController::can_step_down() const {
-  if (current_ == LinkWaveform::kZigbee) return false;
-  if (current_ == LinkWaveform::kWifi1Mbps) return cfg_.enable_zigbee_fallback;
-  return true;
+  return current_ < lowest_reachable(cfg_, initial_);
 }
 
 void RateFallbackController::on_success() {

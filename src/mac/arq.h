@@ -179,6 +179,12 @@ struct FallbackConfig {
   FallbackConfig validated() const;
 };
 
+/// Lowest rung a controller constructed at `initial` can ever reach. It
+/// never climbs above `initial`, steps down only with enable_rate_fallback,
+/// and leaves Wi-Fi for ZigBee only with enable_zigbee_fallback, so every
+/// rung it can occupy lies in [initial, lowest_reachable(cfg, initial)].
+LinkWaveform lowest_reachable(const FallbackConfig& cfg, LinkWaveform initial);
+
 /// Per-tag fallback state machine. Holds no RNG; feed it attempt outcomes.
 /// Never climbs above the waveform it was constructed at.
 class RateFallbackController {

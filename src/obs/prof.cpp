@@ -52,6 +52,18 @@ ZoneNames& names() {
 /// Per-thread stack of open zones: each frame accumulates the time spent in
 /// nested (child) zones so the parent can report self time.
 thread_local std::vector<std::uint64_t> t_child_ns_stack;
+/// On a worker thread, the fan-out its outermost zones report to.
+thread_local std::atomic<std::uint64_t>* t_fan_in = nullptr;
+
+/// Credits `ns` of child time to the zone open on this thread or, on a
+/// worker with none open, to the fan-out that started the worker.
+void credit_parent(std::uint64_t ns) {
+  if (!t_child_ns_stack.empty()) {
+    t_child_ns_stack.back() += ns;
+  } else if (t_fan_in != nullptr) {
+    t_fan_in->fetch_add(ns, std::memory_order_relaxed);
+  }
+}
 
 std::int64_t now_ns() {
   // The sanctioned wall-clock read (see file comment).
@@ -112,8 +124,19 @@ ProfZone::~ProfZone() {
   z.calls.fetch_add(1, std::memory_order_relaxed);
   z.total_ns.fetch_add(dur, std::memory_order_relaxed);
   z.child_ns.fetch_add(child, std::memory_order_relaxed);
-  if (!t_child_ns_stack.empty()) t_child_ns_stack.back() += dur;
+  credit_parent(dur);
 }
+
+ProfFanOut::~ProfFanOut() {
+  const std::uint64_t ns = child_ns_.load(std::memory_order_relaxed);
+  if (ns != 0) credit_parent(ns);
+}
+
+ProfFanOut::Worker::Worker(ProfFanOut& fan_out) : prev_(t_fan_in) {
+  t_fan_in = &fan_out.child_ns_;
+}
+
+ProfFanOut::Worker::~Worker() { t_fan_in = prev_; }
 
 std::vector<ProfZoneStat> prof_report() {
   ZoneNames& n = names();
@@ -129,6 +152,7 @@ std::vector<ProfZoneStat> prof_report() {
       const auto total = z.total_ns.load(std::memory_order_relaxed);
       const auto child = z.child_ns.load(std::memory_order_relaxed);
       s.total_ms = static_cast<double>(total) * 1e-6;
+      s.child_ms = static_cast<double>(child) * 1e-6;
       s.self_ms = static_cast<double>(total - std::min(child, total)) * 1e-6;
       out.push_back(std::move(s));
     }
@@ -146,19 +170,27 @@ void prof_write_table(std::ostream& os, const char* root) {
   if (root != nullptr) {
     for (const ProfZoneStat& s : stats) {
       if (s.name != root || s.total_ms <= 0.0) continue;
-      const double attributed = (s.total_ms - s.self_ms) / s.total_ms;
-      os << "# prof: " << root << " attribution "
-         << static_cast<int>(attributed * 100.0 + 0.5)
-         << "% of wall time in named child zones\n";
+      const int pct = static_cast<int>(s.child_ms / s.total_ms * 100.0 + 0.5);
+      if (s.child_ms > s.total_ms) {
+        // Children that ran concurrently overlap in wall time, so their
+        // sum says nothing about how the root's own time splits.
+        os << "# prof: " << root << " named child zones sum to " << pct
+           << "% of its wall time: they overlap (concurrent workers), so "
+              "none of it is attributed\n";
+      } else {
+        os << "# prof: " << root << " attribution " << pct
+           << "% of wall time in named child zones\n";
+      }
     }
   }
   os << "# prof: zone                          calls    total_ms     self_ms\n";
   for (const ProfZoneStat& s : stats) {
     if (s.calls == 0) continue;
     char line[160];
-    std::snprintf(line, sizeof(line), "# prof: %-28s %8llu %11.3f %11.3f\n",
+    std::snprintf(line, sizeof(line), "# prof: %-28s %8llu %11.3f %11.3f%s\n",
                   s.name.c_str(), static_cast<unsigned long long>(s.calls),
-                  s.total_ms, s.self_ms);
+                  s.total_ms, s.self_ms,
+                  s.child_ms > s.total_ms ? "  (children overlap)" : "");
     os << line;
   }
 }

@@ -3,9 +3,10 @@
 //
 // A ProfZone is a scoped RAII timer keyed by an interned zone name. Zones
 // nest: each zone accumulates total time (entry to exit) and child time
-// (time spent inside nested zones on the same thread), so reports can
-// attribute *self* time per zone. Accumulation is process-wide and
-// thread-safe (relaxed atomics per zone); nesting is tracked per thread.
+// (time spent inside nested zones), so reports can attribute *self* time
+// per zone. Accumulation is process-wide and thread-safe (relaxed atomics
+// per zone); nesting is tracked per thread, and a ProfFanOut carries it
+// from a caller to its worker threads.
 //
 // Determinism: wall-clock readings NEVER reach simulation results, stats,
 // digests, or the metrics/trace exports — only the prof report, which is
@@ -19,6 +20,7 @@
 //   obs::ProfZone prof(kZone);
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
@@ -55,11 +57,41 @@ class ProfZone {
   std::int64_t start_ns_ = 0;
 };
 
+/// Makes the zones that worker threads open children of the zone open on
+/// the calling thread. core::parallel_for constructs one before its own
+/// zone and each worker holds a Worker for its lifetime; when the fan-out
+/// ends, the workers' outermost zones are credited to the caller's zone.
+/// Concurrent workers can then sum to more than that zone's wall time.
+class ProfFanOut {
+ public:
+  ProfFanOut() = default;
+  ~ProfFanOut();
+  ProfFanOut(const ProfFanOut&) = delete;
+  ProfFanOut& operator=(const ProfFanOut&) = delete;
+
+  class Worker {
+   public:
+    explicit Worker(ProfFanOut& fan_out);
+    ~Worker();
+    Worker(const Worker&) = delete;
+    Worker& operator=(const Worker&) = delete;
+
+   private:
+    std::atomic<std::uint64_t>* prev_;
+  };
+
+ private:
+  std::atomic<std::uint64_t> child_ns_{0};
+};
+
 struct ProfZoneStat {
   std::string name;
   std::uint64_t calls = 0;
   double total_ms = 0.0;  ///< entry-to-exit, summed over calls and threads
-  double self_ms = 0.0;   ///< total minus time inside nested zones
+  /// Time inside nested zones, worker zones included. Exceeds total_ms
+  /// when concurrent children overlap in wall time.
+  double child_ms = 0.0;
+  double self_ms = 0.0;  ///< total minus child time, floored at 0
 };
 
 /// Snapshot of every registered zone, sorted by self_ms descending.
@@ -69,8 +101,11 @@ std::vector<ProfZoneStat> prof_report();
 
 /// Human-readable self/total table (one `# prof ...` line per zone), plus a
 /// header line with the attribution ratio of the named `root` zone: the
-/// fraction of its total time spent inside named child zones. Pass nullptr
-/// to skip the ratio line.
+/// fraction of its total time spent inside named child zones. When its
+/// children sum past its total (concurrent workers), the header gives that
+/// ratio and calls the children overlapping instead of attributing a
+/// share, and the table marks every such zone. Pass nullptr to skip the
+/// ratio line.
 void prof_write_table(std::ostream& os, const char* root = nullptr);
 
 }  // namespace itb::obs

@@ -13,7 +13,6 @@
 #include "dsp/units.h"
 #include "obs/capture.h"
 #include "obs/prof.h"
-#include "sim/poll_resolver.h"
 #include "sim/spatial_hash.h"
 
 namespace itb::sim {
@@ -38,12 +37,16 @@ std::uint64_t phase_counter(std::uint64_t round, std::uint64_t phase) {
   return round * 2 + phase;
 }
 
-Real waveform_per_at(mac::LinkWaveform w, Real snr_db,
-                     std::size_t wire_bytes) {
-  if (mac::is_wifi(w)) {
-    return itb::channel::per_80211b(mac::waveform_rate(w), snr_db, wire_bytes);
-  }
-  return itb::channel::per_802154(snr_db, wire_bytes);
+/// Runs fn(t) for every tag t < n over fixed 4096-tag blocks. fn must write
+/// only tag t's own slots, so thread count changes wall time, never results.
+template <typename Fn>
+void for_each_tag(std::size_t n, std::size_t num_threads, Fn&& fn) {
+  constexpr std::size_t kBlock = 4096;
+  itb::core::parallel_for(
+      (n + kBlock - 1) / kBlock, num_threads, [&](std::size_t bi) {
+        const std::size_t hi = std::min(n, (bi + 1) * kBlock);
+        for (std::size_t t = bi * kBlock; t < hi; ++t) fn(t);
+      });
 }
 
 /// What the link budget and the fault timeline say about a poll of `tag`
@@ -272,6 +275,219 @@ struct NetworkCoordinator::ShardResult {
   Sums sums;
 };
 
+Real link_per(mac::LinkWaveform w, Real snr_db, std::size_t bytes) {
+  return mac::is_wifi(w)
+             ? itb::channel::per_80211b(mac::waveform_rate(w), snr_db, bytes)
+             : itb::channel::per_802154(snr_db, bytes);
+}
+
+std::vector<TagLink> build_links(const NetworkConfig& cfg,
+                                 const Placement& placement) {
+  const std::size_t n = placement.tags.size();
+  const std::size_t num_groups = cfg.wifi_channels.size();
+  std::vector<TagLink> links(n);
+  // Nearest helper/AP come from spatial-hash grids (bit-identical to the
+  // brute-force scans, including index-order tie-breaks), and the
+  // impairment preset — a function of the group's carrier only — is
+  // resolved once per Wi-Fi channel instead of once per tag.
+  itb::channel::LogDistanceModel pl;
+  pl.exponent = cfg.pathloss_exponent;
+  const SpatialHashGrid helper_grid(placement.helpers);
+  const SpatialHashGrid ap_grid(placement.aps);
+  std::vector<std::optional<itb::channel::ImpairmentConfig>> group_preset(
+      num_groups);
+  if (cfg.impairment_preset != itb::channel::ImpairmentPreset::kNone) {
+    for (std::size_t g = 0; g < num_groups; ++g) {
+      group_preset[g] = itb::channel::make_impairment_preset(
+          cfg.impairment_preset, 11e6,
+          itb::ble::wifi_channel_hz(cfg.wifi_channels[g]));
+    }
+  }
+  // Radio impairments degrade every reply before the PER mapping. The
+  // preset is resolved at the group's carrier; 1 us DSSS symbols set the
+  // timescale for CFO/phase-noise/delay-spread error accumulation.
+  const auto impair = [&](Real snr_db, std::size_t g) {
+    if (!group_preset[g]) return snr_db;
+    return itb::channel::impaired_snr_db(*group_preset[g], snr_db, 1e6);
+  };
+  // Downlink: the AP's OFDM-AM query must clear the tag's peak detector
+  // after the tissue loss; below sensitivity the tag never hears it.
+  const auto downlink_miss = [&](Real ap_distance_m) {
+    const Real rssi = itb::channel::direct_rssi_dbm(cfg.ap_tx_power_dbm, 2.0,
+                                                    2.0, pl, ap_distance_m) -
+                      cfg.tag_medium_loss_db;
+    return rssi < cfg.detector_sensitivity_dbm
+               ? Real{1.0}
+               : cfg.polling.downlink_error_rate;
+  };
+  for_each_tag(n, cfg.num_threads, [&](std::size_t t) {
+    TagLink& link = links[t];
+    const std::size_t g = t % num_groups;  // the FDMA map (group_tag)
+    const Vec2& p = placement.tags[t];
+    // The pathloss model diverges as d -> 0; a tag is never closer than a
+    // few cm to either radio.
+    const auto clamped_m = [&](const Vec2& node) {
+      return std::max(distance_m(node, p), Real{0.05});
+    };
+    link.helper = static_cast<std::uint32_t>(helper_grid.nearest(p));
+    link.ap = static_cast<std::uint32_t>(ap_grid.nearest(p));
+    link.helper_distance_m = clamped_m(placement.helpers[link.helper]);
+    link.ap_distance_m = clamped_m(placement.aps[link.ap]);
+
+    itb::channel::BackscatterLinkConfig budget;
+    budget.ble_tx_power_dbm = cfg.ble_tx_power_dbm;
+    budget.ble_tag_distance_m = link.helper_distance_m;
+    budget.tag_medium_loss_db = cfg.tag_medium_loss_db;
+    budget.rx_noise_figure_db = cfg.rx_noise_figure_db;
+    budget.pathloss.exponent = cfg.pathloss_exponent;
+    const itb::channel::LinkSample s =
+        itb::channel::backscatter_rssi(budget, link.ap_distance_m);
+    link.reply_rssi_dbm = s.rssi_dbm;
+    link.link_down = s.link_down;
+    link.snr_db = link.link_down ? s.snr_db : impair(s.snr_db, g);
+    link.downlink_miss_prob = downlink_miss(link.ap_distance_m);
+
+    // Failover target: next-nearest AP, with its own precomputed budget.
+    // Reassigning to a different Wi-Fi channel would rewrite the TDMA
+    // schedule mid-run, so failover keeps the tag's FDMA group and only
+    // swaps which AP transmits/receives.
+    if (cfg.ap_failover && placement.aps.size() > 1) {
+      std::size_t fo = ap_grid.nearest(p, link.ap);
+      const Real best = clamped_m(placement.aps[fo]);
+      // The historical scan compared *clamped* distances, which ties every
+      // AP inside the 5 cm floor and resolves to the lowest index. The
+      // grid compares raw distances, so in that (vanishingly rare) regime
+      // take the lowest-index AP within the floor to stay bit-identical.
+      // The grid's pick qualifies, so the scan stops there at the latest.
+      if (best <= Real{0.05}) {
+        fo = 0;
+        while (fo == link.ap || distance_m(placement.aps[fo], p) > Real{0.05}) {
+          ++fo;
+        }
+      }
+      link.failover_ap = static_cast<std::uint32_t>(fo);
+      const itb::channel::LinkSample fs =
+          itb::channel::backscatter_rssi(budget, best);
+      link.has_failover = !fs.link_down;
+      if (link.has_failover) {
+        link.failover_snr_db = impair(fs.snr_db, g);
+        link.failover_downlink_miss_prob = downlink_miss(best);
+      }
+    }
+  });
+  return links;
+}
+
+std::vector<GroupLoad> group_load(const NetworkConfig& cfg,
+                                  const std::vector<TagLink>& links) {
+  const std::size_t num_groups = cfg.wifi_channels.size();
+  const double slot_us = mac::poll_slot_us(cfg.polling);
+  const double frame_us =
+      itb::wifi::frame_airtime_us(cfg.rate, cfg.payload_bytes);
+  const mac::ReservationOutcome base =
+      reservation_at(cfg, cfg.ambient_busy_probability);
+  std::vector<GroupLoad> load(num_groups);
+  // Each task sums its own group in ascending tag order, the order of the
+  // serial loop it replaced, so the thread count never changes a bit.
+  itb::core::parallel_for(num_groups, cfg.num_threads, [&](std::size_t g) {
+    const std::size_t size = group_size(links.size(), num_groups, g);
+    if (size == 0) return;
+    Real watts = 0.0;
+    Real transmit_prob = 0.0;
+    for (std::size_t s = 0; s < size; ++s) {
+      const TagLink& link = links[group_tag(num_groups, g, s)];
+      watts += itb::dsp::dbm_to_watts(link.reply_rssi_dbm);
+      transmit_prob +=
+          (1.0 - link.downlink_miss_prob) * (base.p_clean + base.p_collision);
+    }
+    const auto sz = static_cast<Real>(size);
+    load[g].mean_reply_watts = watts / sz;
+    // TDMA serializes the group: at most one reply is on the air, for
+    // frame_us of every slot_us, whenever the polled tag transmits.
+    load[g].occupancy = frame_us / slot_us * (transmit_prob / sz);
+  });
+  return load;
+}
+
+std::vector<ChannelStats> plan_channels(const NetworkConfig& cfg,
+                                        std::size_t num_tags,
+                                        const std::vector<GroupLoad>& load) {
+  // Group a's replies sit at f_a = ble + shift_a; the imperfect single
+  // sideband leaves a mirror at ble - shift_a = 2*ble - f_a, suppressed by
+  // ssb_sideband_suppression_db. Where the mirror overlaps victim group v's
+  // 22 MHz channel, the victim's noise floor rises in proportion to the
+  // aggressor's airtime occupancy.
+  const std::size_t num_groups = cfg.wifi_channels.size();
+  const double slot_us = mac::poll_slot_us(cfg.polling);
+  const Real ble_hz = itb::ble::ChannelMap::frequency_hz(cfg.ble_channel);
+  const Real noise_watts = itb::dsp::dbm_to_watts(
+      itb::channel::thermal_noise_dbm(22e6, cfg.rx_noise_figure_db));
+  std::vector<ChannelStats> channels(num_groups);
+  for (std::size_t v = 0; v < num_groups; ++v) {
+    ChannelStats& ch = channels[v];
+    ch.wifi_channel = cfg.wifi_channels[v];
+    ch.tags = group_size(num_tags, num_groups, v);
+    ch.occupancy = load[v].occupancy;
+    ch.elapsed_us = static_cast<double>(cfg.rounds) *
+                    static_cast<double>(ch.tags) * slot_us;
+
+    const Real f_v = itb::ble::wifi_channel_hz(cfg.wifi_channels[v]);
+    Real interference_watts = 0.0;
+    Real busy = cfg.ambient_busy_probability;
+    for (std::size_t a = 0; a < num_groups; ++a) {
+      if (a == v || group_size(num_tags, num_groups, a) == 0) continue;
+      const Real f_a = itb::ble::wifi_channel_hz(cfg.wifi_channels[a]);
+      const Real mirror_hz = 2.0 * ble_hz - f_a;
+      const Real overlap =
+          std::max(Real{0.0}, 1.0 - std::abs(mirror_hz - f_v) / 22e6);
+      if (overlap <= 0.0) continue;
+      const Real leak_watts =
+          load[a].mean_reply_watts *
+          itb::dsp::db_to_ratio(-cfg.ssb_sideband_suppression_db) * overlap;
+      interference_watts += load[a].occupancy * leak_watts;
+      // Strong leakage can additionally trip the victim's CCA.
+      if (itb::dsp::watts_to_dbm(leak_watts) > kCcaThresholdDbm) {
+        busy += load[a].occupancy * overlap;
+      }
+    }
+    ch.leakage_noise_rise_db =
+        itb::dsp::ratio_to_db(1.0 + interference_watts / noise_watts);
+    ch.busy_probability = std::min(busy, Real{0.99});
+  }
+  return channels;
+}
+
+std::vector<TagLink> tag_pers(const NetworkConfig& cfg, std::size_t wire_bytes,
+                              const std::vector<ChannelStats>& channels,
+                              std::vector<TagLink> links) {
+  const std::size_t num_groups = channels.size();
+  const mac::LinkWaveform initial = mac::waveform_for_rate(cfg.rate);
+  const auto first = static_cast<std::size_t>(initial);
+  const auto last =
+      static_cast<std::size_t>(mac::lowest_reachable(cfg.fallback, initial));
+  for_each_tag(links.size(), cfg.num_threads, [&](std::size_t t) {
+    TagLink& link = links[t];
+    const Real rise = channels[t % num_groups].leakage_noise_rise_db;
+    const Real snr = link.snr_db - rise;
+    const Real fo_snr = link.failover_snr_db - rise;
+    link.waveform_per.fill(1.0);
+    link.failover_waveform_per.fill(1.0);
+    for (std::size_t w = first; w <= last; ++w) {
+      const auto wf = static_cast<mac::LinkWaveform>(w);
+      link.waveform_per[w] = link_per(wf, snr, wire_bytes);
+      if (link.has_failover) {
+        link.failover_waveform_per[w] = link_per(wf, fo_snr, wire_bytes);
+      }
+    }
+    // reply_per is the initial rung at the bare payload size: without ARQ
+    // framing that is the entry just computed.
+    link.reply_per = wire_bytes == cfg.payload_bytes
+                         ? link.waveform_per[first]
+                         : link_per(initial, snr, cfg.payload_bytes);
+  });
+  return links;
+}
+
 NetworkCoordinator::NetworkCoordinator(const NetworkConfig& cfg) : cfg_(cfg) {
   static const std::size_t kZoneBuild = obs::prof_zone("sim.topology_build");
   const obs::ProfZone prof_build(kZoneBuild);
@@ -291,246 +507,22 @@ NetworkCoordinator::NetworkCoordinator(const NetworkConfig& cfg) : cfg_(cfg) {
 
   // Effective wire size of one attempt: with ARQ every fragment carries the
   // mac/arq framing (header + CRC) on top of its payload share.
-  fragments_ = cfg_.enable_arq
-                   ? mac::fragment_count(cfg_.payload_bytes,
-                                         cfg_.arq.fragment_bytes)
-                   : 1;
-  const std::size_t frag_payload =
-      cfg_.enable_arq && cfg_.arq.fragment_bytes > 0
-          ? std::min(cfg_.arq.fragment_bytes, std::max<std::size_t>(
-                                                  cfg_.payload_bytes, 1))
-          : cfg_.payload_bytes;
-  wire_bytes_ = cfg_.enable_arq ? frag_payload + mac::kFragmentOverheadBytes
-                                : cfg_.payload_bytes;
-
+  wire_bytes_ = cfg_.payload_bytes;
+  if (cfg_.enable_arq) {
+    fragments_ =
+        mac::fragment_count(cfg_.payload_bytes, cfg_.arq.fragment_bytes);
+    if (cfg_.arq.fragment_bytes > 0) {
+      wire_bytes_ = std::min(cfg_.arq.fragment_bytes,
+                             std::max<std::size_t>(cfg_.payload_bytes, 1));
+    }
+    wire_bytes_ += mac::kFragmentOverheadBytes;
+  }
   timeline_ = FaultTimeline(cfg_.faults, placement_.aps.size(),
                             cfg_.wifi_channels, n);
 
-  const std::size_t num_groups = cfg_.wifi_channels.size();
-  links_.resize(n);
-  channels_.assign(num_groups, {});
-
-  // FDMA: balance groups round-robin by tag id. Deterministic and keeps
-  // every channel's TDMA round the same length to within one tag. Group g
-  // is the arithmetic sequence g, g+G, g+2G, ... — filled directly, no
-  // per-tag push_back.
-  group_tags_.assign(num_groups, {});
-  for (std::size_t g = 0; g < num_groups; ++g) {
-    const std::size_t count = n > g ? (n - g - 1) / num_groups + 1 : 0;
-    group_tags_[g].resize(count);
-    for (std::size_t j = 0; j < count; ++j) {
-      group_tags_[g][j] = static_cast<std::uint32_t>(g + j * num_groups);
-    }
-  }
-
-  const Real ble_hz = itb::ble::ChannelMap::frequency_hz(cfg_.ble_channel);
-
-  // --- per-tag link budgets (pure geometry + closed forms) -----------------
-  // Nearest helper/AP come from spatial-hash grids (bit-identical to the
-  // brute-force scans, including index-order tie-breaks), and the
-  // impairment preset — a function of the group's carrier only — is
-  // resolved once per Wi-Fi channel instead of once per tag. The loop body
-  // is a pure function of (cfg, placement) writing disjoint links_[t]
-  // slots, so it fans out over fixed-size blocks: thread count changes
-  // wall time, never results.
-  itb::channel::LogDistanceModel pl;
-  pl.exponent = cfg_.pathloss_exponent;
-  const SpatialHashGrid helper_grid(placement_.helpers);
-  const SpatialHashGrid ap_grid(placement_.aps);
-  std::vector<std::optional<itb::channel::ImpairmentConfig>> group_preset(
-      num_groups);
-  if (cfg_.impairment_preset != itb::channel::ImpairmentPreset::kNone) {
-    for (std::size_t g = 0; g < num_groups; ++g) {
-      group_preset[g] = itb::channel::make_impairment_preset(
-          cfg_.impairment_preset, 11e6,
-          itb::ble::wifi_channel_hz(cfg_.wifi_channels[g]));
-    }
-  }
-  // Radio impairments degrade every reply before the PER mapping. The
-  // preset is resolved at the group's carrier; 1 us DSSS symbols set the
-  // timescale for CFO/phase-noise/delay-spread error accumulation.
-  const auto impair = [&](Real snr_db, std::size_t g) {
-    if (!group_preset[g]) return snr_db;
-    return itb::channel::impaired_snr_db(*group_preset[g], snr_db, 1e6);
-  };
-  const auto downlink_rssi = [&](Real ap_distance_m) {
-    return itb::channel::direct_rssi_dbm(cfg_.ap_tx_power_dbm, 2.0, 2.0, pl,
-                                         ap_distance_m) -
-           cfg_.tag_medium_loss_db;
-  };
-  const auto downlink_miss = [&](Real ap_distance_m) {
-    return downlink_rssi(ap_distance_m) < cfg_.detector_sensitivity_dbm
-               ? Real{1.0}
-               : cfg_.polling.downlink_error_rate;
-  };
-  const auto build_link = [&](std::size_t t) {
-    TagLink& link = links_[t];
-    const std::size_t g = t % num_groups;
-    link.wifi_channel = cfg_.wifi_channels[g];
-
-    link.helper =
-        static_cast<std::uint32_t>(helper_grid.nearest(placement_.tags[t]));
-    link.ap = static_cast<std::uint32_t>(ap_grid.nearest(placement_.tags[t]));
-    link.helper_distance_m =
-        distance_m(placement_.helpers[link.helper], placement_.tags[t]);
-    link.ap_distance_m =
-        distance_m(placement_.aps[link.ap], placement_.tags[t]);
-    // The pathloss model diverges as d -> 0; a tag is never closer than a
-    // few cm to either radio.
-    link.helper_distance_m = std::max(link.helper_distance_m, Real{0.05});
-    link.ap_distance_m = std::max(link.ap_distance_m, Real{0.05});
-
-    itb::channel::BackscatterLinkConfig budget;
-    budget.ble_tx_power_dbm = cfg_.ble_tx_power_dbm;
-    budget.ble_tag_distance_m = link.helper_distance_m;
-    budget.tag_medium_loss_db = cfg_.tag_medium_loss_db;
-    budget.rx_noise_figure_db = cfg_.rx_noise_figure_db;
-    budget.pathloss.exponent = cfg_.pathloss_exponent;
-    const itb::channel::LinkSample s =
-        itb::channel::backscatter_rssi(budget, link.ap_distance_m);
-    link.reply_rssi_dbm = s.rssi_dbm;
-    link.link_down = s.link_down;
-    link.snr_db = link.link_down ? s.snr_db : impair(s.snr_db, g);
-
-    // Downlink: the AP's OFDM-AM query must clear the tag's peak detector
-    // after the tissue loss; below sensitivity the tag never hears it.
-    link.downlink_rssi_dbm = downlink_rssi(link.ap_distance_m);
-    link.downlink_miss_prob = downlink_miss(link.ap_distance_m);
-
-    // Failover target: next-nearest AP, with its own precomputed budget.
-    // Reassigning to a different Wi-Fi channel would rewrite the TDMA
-    // schedule mid-run, so failover keeps the tag's FDMA group and only
-    // swaps which AP transmits/receives.
-    if (cfg_.ap_failover && placement_.aps.size() > 1) {
-      const std::size_t fo = ap_grid.nearest(placement_.tags[t], link.ap);
-      Real best = std::max(distance_m(placement_.aps[fo], placement_.tags[t]),
-                           Real{0.05});
-      link.has_failover = true;
-      link.failover_ap = static_cast<std::uint32_t>(fo);
-      // The historical scan compared *clamped* distances, which ties every
-      // AP inside the 5 cm floor and resolves to the lowest index. The
-      // grid compares raw distances, so replay the reference scan in that
-      // (vanishingly rare) regime to stay bit-identical.
-      if (best <= Real{0.05}) {
-        link.has_failover = false;
-        for (std::size_t a = 0; a < placement_.aps.size(); ++a) {
-          if (a == link.ap) continue;
-          const Real d = std::max(
-              distance_m(placement_.aps[a], placement_.tags[t]), Real{0.05});
-          if (!link.has_failover || d < best) {
-            link.has_failover = true;
-            link.failover_ap = static_cast<std::uint32_t>(a);
-            best = d;
-          }
-        }
-      }
-      if (link.has_failover) {
-        const itb::channel::LinkSample fs =
-            itb::channel::backscatter_rssi(budget, best);
-        if (fs.link_down) {
-          link.has_failover = false;
-        } else {
-          link.failover_snr_db = impair(fs.snr_db, g);
-          link.failover_downlink_miss_prob = downlink_miss(best);
-        }
-      }
-    }
-  };
-  constexpr std::size_t kBuildBlock = 4096;
-  const std::size_t num_blocks = (n + kBuildBlock - 1) / kBuildBlock;
-  itb::core::parallel_for(num_blocks, cfg_.num_threads, [&](std::size_t bi) {
-    const std::size_t hi = std::min(n, (bi + 1) * kBuildBlock);
-    for (std::size_t t = bi * kBuildBlock; t < hi; ++t) build_link(t);
-  });
-
-  // --- per-group airtime occupancy and mean reply power --------------------
-  const double slot_us = mac::poll_slot_us(cfg_.polling);
-  const double frame_us =
-      itb::wifi::frame_airtime_us(cfg_.rate, cfg_.payload_bytes);
-  std::vector<Real> mean_reply_watts(num_groups, 0.0);
-  std::vector<Real> occupancy(num_groups, 0.0);
-  {
-    const mac::ReservationOutcome base =
-        reservation_at(cfg_, cfg_.ambient_busy_probability);
-    for (std::size_t g = 0; g < num_groups; ++g) {
-      if (group_tags_[g].empty()) continue;
-      Real watts = 0.0;
-      Real transmit_prob = 0.0;
-      for (const std::uint32_t t : group_tags_[g]) {
-        watts += itb::dsp::dbm_to_watts(links_[t].reply_rssi_dbm);
-        transmit_prob += (1.0 - links_[t].downlink_miss_prob) *
-                         (base.p_clean + base.p_collision);
-      }
-      const auto sz = static_cast<Real>(group_tags_[g].size());
-      mean_reply_watts[g] = watts / sz;
-      // TDMA serializes the group: at most one reply is on the air, for
-      // frame_us of every slot_us, whenever the polled tag transmits.
-      occupancy[g] = frame_us / slot_us * (transmit_prob / sz);
-    }
-  }
-
-  // --- cross-channel SSB mirror leakage ------------------------------------
-  // Group a's replies sit at f_a = ble + shift_a; the imperfect single
-  // sideband leaves a mirror at ble - shift_a = 2*ble - f_a, suppressed by
-  // ssb_sideband_suppression_db. Where the mirror overlaps victim group v's
-  // 22 MHz channel, the victim's noise floor rises in proportion to the
-  // aggressor's airtime occupancy.
-  const Real noise_watts = itb::dsp::dbm_to_watts(
-      itb::channel::thermal_noise_dbm(22e6, cfg_.rx_noise_figure_db));
-  for (std::size_t v = 0; v < num_groups; ++v) {
-    ChannelStats& ch = channels_[v];
-    ch.wifi_channel = cfg_.wifi_channels[v];
-    ch.tags = group_tags_[v].size();
-    ch.occupancy = occupancy[v];
-    ch.elapsed_us = static_cast<double>(cfg_.rounds) *
-                    static_cast<double>(group_tags_[v].size()) * slot_us;
-
-    const Real f_v = itb::ble::wifi_channel_hz(cfg_.wifi_channels[v]);
-    Real interference_watts = 0.0;
-    Real busy = cfg_.ambient_busy_probability;
-    for (std::size_t a = 0; a < num_groups; ++a) {
-      if (a == v || group_tags_[a].empty()) continue;
-      const Real f_a = itb::ble::wifi_channel_hz(cfg_.wifi_channels[a]);
-      const Real mirror_hz = 2.0 * ble_hz - f_a;
-      const Real overlap =
-          std::max(Real{0.0}, 1.0 - std::abs(mirror_hz - f_v) / 22e6);
-      if (overlap <= 0.0) continue;
-      const Real leak_watts =
-          mean_reply_watts[a] *
-          itb::dsp::db_to_ratio(-cfg_.ssb_sideband_suppression_db) * overlap;
-      interference_watts += occupancy[a] * leak_watts;
-      // Strong leakage can additionally trip the victim's CCA.
-      if (itb::dsp::watts_to_dbm(leak_watts) > kCcaThresholdDbm) {
-        busy += occupancy[a] * overlap;
-      }
-    }
-    ch.leakage_noise_rise_db =
-        itb::dsp::ratio_to_db(1.0 + interference_watts / noise_watts);
-    ch.busy_probability = std::min(busy, Real{0.99});
-  }
-
-  // --- leakage-degraded reply PER per tag ----------------------------------
-  // Same fan-out discipline as the budget loop: disjoint links_[t] writes,
-  // pure closed forms, fixed blocks.
-  itb::core::parallel_for(num_blocks, cfg_.num_threads, [&](std::size_t bi) {
-    const std::size_t hi = std::min(n, (bi + 1) * kBuildBlock);
-    for (std::size_t t = bi * kBuildBlock; t < hi; ++t) {
-      const std::size_t g = t % num_groups;
-      TagLink& link = links_[t];
-      const Real snr = link.snr_db - channels_[g].leakage_noise_rise_db;
-      link.reply_per =
-          itb::channel::per_80211b(cfg_.rate, snr, cfg_.payload_bytes);
-      const Real fo_snr =
-          link.failover_snr_db - channels_[g].leakage_noise_rise_db;
-      for (std::size_t w = 0; w < mac::kNumLinkWaveforms; ++w) {
-        const auto wf = static_cast<mac::LinkWaveform>(w);
-        link.waveform_per[w] = waveform_per_at(wf, snr, wire_bytes_);
-        link.failover_waveform_per[w] =
-            link.has_failover ? waveform_per_at(wf, fo_snr, wire_bytes_)
-                              : Real{1.0};
-      }
-    }
-  });
+  links_ = build_links(cfg_, placement_);
+  channels_ = plan_channels(cfg_, n, group_load(cfg_, links_));
+  links_ = tag_pers(cfg_, wire_bytes_, channels_, std::move(links_));
 }
 
 RunPlan NetworkCoordinator::plan() const {
@@ -548,11 +540,12 @@ RunPlan NetworkCoordinator::plan() const {
   // the synthesizer power). uW * us = pJ, stored as nJ.
   const itb::backscatter::IcPowerModel power(cfg_.ic_power);
   const Real ble_hz = itb::ble::ChannelMap::frequency_hz(cfg_.ble_channel);
-  p.groups.resize(group_tags_.size());
-  for (std::size_t g = 0; g < group_tags_.size(); ++g) {
+  p.groups.resize(channels_.size());
+  for (std::size_t g = 0; g < channels_.size(); ++g) {
     RunPlan::Group& grp = p.groups[g];
+    const std::size_t tags = channels_[g].tags;
     grp.reservation = reservation_at(cfg_, channels_[g].busy_probability);
-    grp.round_us = static_cast<double>(group_tags_[g].size()) * p.slot_us;
+    grp.round_us = static_cast<double>(tags) * p.slot_us;
     grp.control_amortized_us =
         grp.reservation.data_slots_per_event > 0.0
             ? grp.reservation.control_overhead_us /
@@ -567,9 +560,8 @@ RunPlan NetworkCoordinator::plan() const {
               .total_uw() *
           p.attempt_airtime_us[w] * 1e-3;
     }
-    for (std::size_t b = 0; b < group_tags_[g].size(); b += cfg_.shard_tags) {
-      p.shards.push_back(
-          {g, b, std::min(b + cfg_.shard_tags, group_tags_[g].size())});
+    for (std::size_t b = 0; b < tags; b += cfg_.shard_tags) {
+      p.shards.push_back({g, b, std::min(b + cfg_.shard_tags, tags)});
     }
   }
   return p;
@@ -644,7 +636,7 @@ void NetworkCoordinator::run_shard(const RunPlan& plan, std::size_t si,
   // shard's next query and is handled right after its own.
   for (std::uint64_t r = 0; r < cfg_.rounds; ++r) {
     for (std::size_t s = sh.begin; s < sh.end; ++s) {
-      const std::uint32_t tag = group_tags_[g][s];
+      const std::uint32_t tag = group_tag(channels_.size(), g, s);
       const std::size_t i = s - sh.begin;
       TagStats& ts = local[i];
       TagState& st = state[i];
@@ -683,9 +675,7 @@ void NetworkCoordinator::run_shard(const RunPlan& plan, std::size_t si,
         // Interference bursts raise the CCA busy probability; the
         // reservation closed form is cheap enough to re-solve live for the
         // affected slots.
-        const Real busy_boost = timeline_.any()
-                                    ? timeline_.channel_busy_boost(g, t_us)
-                                    : Real{0.0};
+        const Real busy_boost = timeline_.channel_busy_boost(g, t_us);
         const Real busy = std::min(ch.busy_probability + busy_boost, 0.99);
         const mac::ReservationOutcome oc =
             busy_boost > 0.0 ? reservation_at(cfg_, busy) : grp.reservation;
@@ -703,14 +693,12 @@ void NetworkCoordinator::run_shard(const RunPlan& plan, std::size_t si,
             // the precomputed per-rung table.
             Real per = start.failover ? link.failover_waveform_per[wi]
                                       : link.waveform_per[wi];
-            const Real rise = timeline_.any()
-                                  ? timeline_.channel_noise_rise_db(g, t_us)
-                                  : Real{0.0};
+            const Real rise = timeline_.channel_noise_rise_db(g, t_us);
             if (rise > 0.0) {
               const Real snr =
                   (start.failover ? link.failover_snr_db : link.snr_db) -
                   ch.leakage_noise_rise_db - rise;
-              per = waveform_per_at(wf, snr, wire_bytes_);
+              per = link_per(wf, snr, wire_bytes_);
             }
             if (reply_rng.uniform() < per) out = PollOutcome::kDecodeFailure;
           }
@@ -757,11 +745,12 @@ void NetworkCoordinator::fold_shard(const RunPlan& plan, std::size_t si,
       ch.elapsed_us / (cfg_.polling.advertising_interval_ms * 1e3);
   const itb::backscatter::IcPowerModel power(cfg_.ic_power);
   for (std::size_t i = 0; i < local.size(); ++i) {
-    const std::uint32_t tag = group_tags_[sh.group][sh.begin + i];
+    const std::uint32_t tag =
+        group_tag(channels_.size(), sh.group, sh.begin + i);
     const TagLink& link = links_[tag];
     TagStats& ts = local[i];
     ts.tag_id = tag;
-    ts.wifi_channel = link.wifi_channel;
+    ts.wifi_channel = ch.wifi_channel;
     ts.helper = link.helper;
     ts.ap = link.ap;
     ts.snr_db = link.snr_db - ch.leakage_noise_rise_db;
@@ -807,7 +796,7 @@ NetworkStats NetworkCoordinator::reduce(const RunPlan& plan,
     const itb::backscatter::IcPowerModel power(cfg_.ic_power);
     for (const RunPlan::Shard& sh : plan.shards) {
       for (std::size_t s = sh.begin; s < sh.end; ++s) {
-        sums.add(per_tag[group_tags_[sh.group][s]],
+        sums.add(per_tag[group_tag(channels_.size(), sh.group, s)],
                  channels_[sh.group].elapsed_us,
                  plan.groups[sh.group].shift_hz, power, cfg_.rate);
       }
@@ -847,17 +836,15 @@ std::vector<SpotCheckResult> NetworkCoordinator::spot_check_waveform(
   // group) so the cross-check always exercises every Wi-Fi channel's SSB
   // shift; a plain stride over tag ids would alias with the round-robin
   // channel assignment and could sample a single channel.
-  const std::size_t num_groups = group_tags_.size();
+  const std::size_t num_groups = channels_.size();
   const std::size_t per_group = (links + num_groups - 1) / num_groups;
   for (std::size_t i = 0; i < links; ++i) {
     const std::size_t g = i % num_groups;
-    const std::vector<std::uint32_t>& group = group_tags_[g];
-    if (group.empty()) continue;
-    const std::size_t inner_stride =
-        std::max<std::size_t>(1, group.size() / per_group);
-    const std::size_t j = std::min((i / num_groups) * inner_stride,
-                                   group.size() - 1);
-    const std::size_t t = group[j];
+    const std::size_t size = channels_[g].tags;
+    if (size == 0) continue;
+    const std::size_t inner_stride = std::max<std::size_t>(1, size / per_group);
+    const std::size_t j = std::min((i / num_groups) * inner_stride, size - 1);
+    const std::size_t t = group_tag(num_groups, g, j);
     const TagLink& link = links_[t];
 
     itb::core::UplinkScenario s;
@@ -865,7 +852,7 @@ std::vector<SpotCheckResult> NetworkCoordinator::spot_check_waveform(
     s.tag_rx_distance_m = link.ap_distance_m;
     s.ble_tx_power_dbm = cfg_.ble_tx_power_dbm;
     s.ble_channel = cfg_.ble_channel;
-    s.wifi_channel = link.wifi_channel;
+    s.wifi_channel = channels_[g].wifi_channel;
     s.rate = cfg_.rate;
     s.tag_medium_loss_db = cfg_.tag_medium_loss_db;
     s.pathloss_exponent = cfg_.pathloss_exponent;
@@ -881,21 +868,15 @@ std::vector<SpotCheckResult> NetworkCoordinator::spot_check_waveform(
     const auto wf = sys.simulate_frame(psdu);
     // Compare against the budget PER at the raw link SNR: the waveform path
     // has no cross-channel aggressors, so leakage is excluded on both sides.
-    const double per =
-        itb::channel::per_80211b(cfg_.rate, link.snr_db, cfg_.payload_bytes);
+    const double per = link_per(mac::waveform_for_rate(cfg_.rate),
+                                link.snr_db, cfg_.payload_bytes);
 
     SpotCheckResult r;
-    r.tag_id = static_cast<std::uint32_t>(t);
     r.budget_per = per;
-    r.budget_snr_db = link.snr_db;
     r.waveform_decoded = wf.payload_ok;
-    if (per < 0.1) {
-      r.consistent = wf.payload_ok;
-    } else if (per > 0.9) {
-      r.consistent = !wf.payload_ok;
-    } else {
-      r.consistent = true;  // coin-flip region: either outcome is plausible
-    }
+    // Between the two the coin-flip region accepts either outcome.
+    r.consistent =
+        (per >= 0.1 || wf.payload_ok) && (per <= 0.9 || !wf.payload_ok);
     out.push_back(r);
   }
   return out;

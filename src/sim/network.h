@@ -36,6 +36,18 @@
 //     and probes back up on success; attempt airtime, PER, and IC energy
 //     all follow the active rung.
 //
+// Build: the constructor validates the config, places the fleet, then runs
+// four pure stages, declared below and each tested on its own:
+//   1. build_links    — per-tag geometry, link budget, downlink, failover;
+//   2. group_load     — per-group mean reply power and airtime occupancy;
+//   3. plan_channels  — the channel plan, with cross-channel SSB leakage;
+//   4. tag_pers       — per-tag PER from the links and the channel plan.
+// The FDMA map is closed form: tag t sits in group t % G at TDMA slot t / G
+// (group_size()/group_tag()), so no per-group id list is stored. Every
+// closed-form PER the simulator uses goes through link_per(). Stage 4
+// evaluates only the rungs a tag's mac::RateFallbackController can reach,
+// [initial, mac::lowest_reachable()]; the rest hold 1.0 and are never read.
+//
 // Fidelity: every link outcome is drawn at *budget level* (channel/link.h
 // closed forms), so 5000 tags simulate in seconds. spot_check_waveform()
 // optionally re-simulates a deterministic sample of links through the full
@@ -142,29 +154,86 @@ struct NetworkConfig {
 struct TagLink {
   std::uint32_t helper = 0;  ///< nearest BLE helper
   std::uint32_t ap = 0;      ///< nearest AP (receives this group's replies)
-  unsigned wifi_channel = 0;
+  /// Budget declared the link dead (channel::backscatter_rssi guard):
+  /// polls resolve to PollOutcome::kLinkDown without drawing.
+  bool link_down = false;
   Real helper_distance_m = 0.0;
   Real ap_distance_m = 0.0;
   Real reply_rssi_dbm = 0.0;  ///< budget-level reply RSSI at the AP
   Real snr_db = 0.0;          ///< reply SNR before leakage noise rise
-  Real downlink_rssi_dbm = 0.0;
   Real downlink_miss_prob = 0.0;
   Real reply_per = 0.0;       ///< PER at the leakage-degraded SNR
-  /// Budget declared the link dead (channel::backscatter_rssi guard):
-  /// polls resolve to PollOutcome::kLinkDown without drawing.
-  bool link_down = false;
   /// PER per fallback rung at the leakage-degraded SNR and the effective
   /// wire size (ARQ fragment framing included when enabled). Indexed by
   /// mac::LinkWaveform; [waveform_for_rate(cfg.rate)] is the rung polls
-  /// start at.
+  /// start at. Rungs the fallback ladder cannot reach (outside
+  /// [initial, mac::lowest_reachable()]) hold 1.0 and are never read.
   std::array<Real, mac::kNumLinkWaveforms> waveform_per{};
   // --- AP failover (next-nearest AP, used when the primary is down) ----
   bool has_failover = false;
   std::uint32_t failover_ap = 0;
   Real failover_snr_db = itb::channel::kLinkDownDb;
   Real failover_downlink_miss_prob = 1.0;
+  /// As waveform_per, on the failover link (all 1.0 without one).
   std::array<Real, mac::kNumLinkWaveforms> failover_waveform_per{};
 };
+
+// --- FDMA group map ----------------------------------------------------------
+// Groups are filled round-robin by tag id: tag t is in group t % G at TDMA
+// slot t / G, which keeps every group's round the same length to within one
+// tag. The per-tag build stages read a tag's group as t % G; everything that
+// walks a group's slots goes through these two helpers.
+
+/// Tags in group `g` of an `n`-tag fleet over `num_groups` groups.
+inline std::size_t group_size(std::size_t n, std::size_t num_groups,
+                              std::size_t g) {
+  return n > g ? (n - g - 1) / num_groups + 1 : 0;
+}
+/// Tag id at TDMA slot `s` of group `g`.
+inline std::uint32_t group_tag(std::size_t num_groups, std::size_t g,
+                               std::size_t s) {
+  return static_cast<std::uint32_t>(g + s * num_groups);
+}
+
+/// The simulator's one closed-form PER: `bytes` on the air at rung `w` and
+/// `snr_db` (channel::per_80211b for the Wi-Fi rungs, per_802154 for
+/// ZigBee).
+Real link_per(mac::LinkWaveform w, Real snr_db, std::size_t bytes);
+
+// --- build stages ------------------------------------------------------------
+// Pure functions of their arguments. The per-tag stages fan out over fixed
+// tag blocks and stage 2 over groups; cfg.num_threads changes wall time,
+// never a bit. cfg is the coordinator's validated copy.
+
+/// Stage 1: every tag's geometry, link budget, downlink miss probability
+/// and failover target, indexed by tag id. The PER fields stay unset.
+std::vector<TagLink> build_links(const NetworkConfig& cfg,
+                                 const Placement& placement);
+
+/// What one FDMA group puts on the air, as seen by the other groups.
+struct GroupLoad {
+  Real mean_reply_watts = 0.0;  ///< mean budget-level reply power at the AP
+  Real occupancy = 0.0;  ///< fraction of the timeline a reply is on the air
+};
+
+/// Stage 2: the load of every group (zero for an empty group), one task
+/// per group, each summing its tags in ascending id order.
+std::vector<GroupLoad> group_load(const NetworkConfig& cfg,
+                                  const std::vector<TagLink>& links);
+
+/// Stage 3: the plan-time ChannelStats of every group — size, occupancy,
+/// timeline length, and the noise-floor rise and busy probability that the
+/// other groups' SSB mirror leakage causes.
+std::vector<ChannelStats> plan_channels(const NetworkConfig& cfg,
+                                        std::size_t num_tags,
+                                        const std::vector<GroupLoad>& load);
+
+/// Stage 4: `links` with reply_per and the reachable rungs of
+/// waveform_per / failover_waveform_per filled in at the leakage-degraded
+/// SNR. `wire_bytes` is the size of one attempt on the air.
+std::vector<TagLink> tag_pers(const NetworkConfig& cfg, std::size_t wire_bytes,
+                              const std::vector<ChannelStats>& channels,
+                              std::vector<TagLink> links);
 
 /// Everything run() fixes before the shard fan-out: a pure function of the
 /// coordinator's plan-time state (config, channel plan, FDMA groups), never
@@ -200,9 +269,7 @@ struct RunPlan {
 
 /// One sampled link re-run at waveform level next to its budget prediction.
 struct SpotCheckResult {
-  std::uint32_t tag_id = 0;
   double budget_per = 0.0;
-  double budget_snr_db = 0.0;
   bool waveform_decoded = false;
   /// Budget and waveform agree: a link the budget calls near-certain
   /// (PER < 0.1) decoded, one it calls near-dead (PER > 0.9) did not;
@@ -237,7 +304,6 @@ class NetworkCoordinator {
   const Placement& placement() const { return placement_; }
   const std::vector<TagLink>& links() const { return links_; }
   const std::vector<ChannelStats>& channel_plan() const { return channels_; }
-  const FaultTimeline& fault_timeline() const { return timeline_; }
   /// Bytes each attempt puts on the air: payload_bytes plus the ARQ
   /// fragment framing when ARQ splits/frames the message.
   std::size_t wire_bytes() const { return wire_bytes_; }
@@ -265,9 +331,6 @@ class NetworkCoordinator {
   Placement placement_;
   std::vector<TagLink> links_;          ///< indexed by tag id
   std::vector<ChannelStats> channels_;  ///< per FDMA group (plan-time fields)
-  /// Tag ids grouped by FDMA channel, each group in ascending id order;
-  /// a tag's TDMA slot is its position in its group.
-  std::vector<std::vector<std::uint32_t>> group_tags_;
   FaultTimeline timeline_;  ///< compiled faults; immutable during run()
   std::size_t wire_bytes_ = 0;
   std::size_t fragments_ = 1;

@@ -1,8 +1,8 @@
 #include "wifi/convolutional.h"
 
 #include <array>
-#include <cassert>
 #include <limits>
+#include <stdexcept>
 #include <vector>
 
 namespace itb::wifi {
@@ -66,27 +66,22 @@ Bits puncture(const Bits& coded, CodeRate rate) {
 
 Bits depuncture_with_erasures(const Bits& punctured, CodeRate rate) {
   if (rate == CodeRate::kRate1_2) return punctured;
+  // The puncture() patterns: true = kept, false = dropped (an erasure here).
+  static constexpr bool kKeep2_3[] = {true, true, true, false};
+  static constexpr bool kKeep3_4[] = {true, true, true, false, false, true};
+  const bool* keep = rate == CodeRate::kRate2_3 ? kKeep2_3 : kKeep3_4;
+  const std::size_t period = rate == CodeRate::kRate2_3 ? 4 : 6;
   Bits out;
   std::size_t idx = 0;
-  if (rate == CodeRate::kRate2_3) {
-    while (idx < punctured.size()) {
-      for (std::size_t m = 0; m < 4 && idx < punctured.size(); ++m) {
-        if (m == 3) {
-          out.push_back(2);
-        } else {
-          out.push_back(punctured[idx++]);
-        }
-      }
-    }
-  } else {
-    while (idx < punctured.size()) {
-      for (std::size_t m = 0; m < 6 && idx < punctured.size(); ++m) {
-        if (m == 3 || m == 4) {
-          out.push_back(2);
-        } else {
-          out.push_back(punctured[idx++]);
-        }
-      }
+  // Runs on past the last kept bit to the next kept position, so the
+  // erasures that close the final puncturing period are emitted too.
+  for (std::size_t m = 0;; ++m) {
+    if (!keep[m % period]) {
+      out.push_back(2);
+    } else if (idx < punctured.size()) {
+      out.push_back(punctured[idx++]);
+    } else {
+      break;
     }
   }
   return out;
@@ -94,7 +89,10 @@ Bits depuncture_with_erasures(const Bits& punctured, CodeRate rate) {
 
 Bits viterbi_decode(const Bits& coded, std::size_t data_len,
                     std::uint8_t initial_state) {
-  assert(coded.size() >= data_len * 2);
+  if (coded.size() < data_len * 2) {
+    throw std::invalid_argument(
+        "viterbi_decode: fewer than 2 coded symbols per data bit");
+  }
   constexpr unsigned kInf = std::numeric_limits<unsigned>::max() / 2;
 
   std::vector<unsigned> metric(kStates, kInf);

@@ -177,9 +177,11 @@ std::optional<OfdmRxResult> OfdmReceiver::receive(const CVec& samples) const {
     // --- 4. DATA symbols ----------------------------------------------------
     const auto& p = ofdm_params(out.rate);
     // The SIGNAL LENGTH we transmit in this codebase is the DATA field byte
-    // count (see OfdmTransmitter); symbols follow directly.
+    // count (see OfdmTransmitter); symbols follow directly. When N_DBPS is
+    // not a whole number of bytes (9 Mbps: 36 bits) that count rounds down,
+    // so the symbol count rounds up to cover the field's last symbol.
     const std::size_t data_bits = length * 8;
-    const std::size_t num_symbols = data_bits / p.n_dbps;
+    const std::size_t num_symbols = (data_bits + p.n_dbps - 1) / p.n_dbps;
     itb::phy::Bits punctured;
     punctured.reserve(num_symbols * p.n_cbps);
     std::size_t start = signal_start + kSymbolSamples;

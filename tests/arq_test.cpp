@@ -202,6 +202,37 @@ TEST(Fallback, DisabledControllerNeverMoves) {
   EXPECT_EQ(c.downshifts(), 0u);
 }
 
+TEST(Fallback, LowestReachableBoundsEveryWalk) {
+  FallbackConfig cfg;
+  EXPECT_EQ(lowest_reachable(cfg, LinkWaveform::kWifi2Mbps),
+            LinkWaveform::kWifi2Mbps);  // fallback off: the start is all
+  cfg.enable_zigbee_fallback = true;   // no effect without rate fallback
+  EXPECT_EQ(lowest_reachable(cfg, LinkWaveform::kWifi2Mbps),
+            LinkWaveform::kWifi2Mbps);
+  cfg.enable_rate_fallback = true;
+  EXPECT_EQ(lowest_reachable(cfg, LinkWaveform::kWifi11Mbps),
+            LinkWaveform::kZigbee);
+  cfg.enable_zigbee_fallback = false;
+  EXPECT_EQ(lowest_reachable(cfg, LinkWaveform::kWifi11Mbps),
+            LinkWaveform::kWifi1Mbps);
+
+  // A controller hammered with failures stops exactly there, and probing
+  // back up never passes its start.
+  cfg.down_after_failures = 1;
+  cfg.up_after_successes = 1;
+  for (const bool zigbee : {false, true}) {
+    cfg.enable_zigbee_fallback = zigbee;
+    for (std::size_t w = 0; w + 1 < kNumLinkWaveforms; ++w) {
+      const auto start = static_cast<LinkWaveform>(w);
+      RateFallbackController c(cfg, start);
+      for (int i = 0; i < 10; ++i) c.on_failure();
+      EXPECT_EQ(c.current(), lowest_reachable(cfg, start));
+      for (int i = 0; i < 10; ++i) c.on_success();
+      EXPECT_EQ(c.current(), start);
+    }
+  }
+}
+
 TEST(Waveform, HelpersAreConsistent) {
   for (std::size_t w = 0; w < kNumLinkWaveforms; ++w) {
     const auto wf = static_cast<LinkWaveform>(w);

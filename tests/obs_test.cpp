@@ -12,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/parallel.h"
 #include "gtest/gtest.h"
 #include "obs/capture.h"
 #include "obs/metrics.h"
@@ -523,6 +524,42 @@ TEST(ProfZoneTest, NestingAttributesSelfTime) {
   obs::prof_write_table(table, "test.outer");
   EXPECT_NE(table.str().find("test.outer"), std::string::npos);
   EXPECT_NE(table.str().find("attribution"), std::string::npos);
+}
+
+TEST(ProfZoneTest, ParallelWorkersOverlapInsteadOfFullAttribution) {
+  obs::prof_enable(true);
+  obs::prof_reset();
+  const std::size_t parent = obs::prof_zone("test.fan_parent");
+  const std::size_t worker = obs::prof_zone("test.fan_worker");
+  {
+    obs::ProfZone p(parent);
+    core::parallel_for(2, 2, [&](std::size_t) {
+      obs::ProfZone w(worker);
+      spin(400000);
+    });
+  }
+  obs::prof_enable(false);
+
+  const auto stats = obs::prof_report();
+  EXPECT_EQ(zone_calls(stats, "test.fan_worker"), 2u);
+  // Both worker zones count as the parent's children, next to the fan-out
+  // itself, so the children sum past the parent's wall time.
+  double child_ms = 0.0;
+  for (const obs::ProfZoneStat& s : stats) {
+    if (s.name == "test.fan_parent") child_ms = s.child_ms;
+  }
+  const double parent_total = zone_total_ms(stats, "test.fan_parent");
+  ASSERT_GT(parent_total, 0.0);
+  EXPECT_GT(child_ms, parent_total);
+  EXPECT_GE(child_ms, zone_total_ms(stats, "test.fan_worker"));
+  EXPECT_EQ(zone_self_ms(stats, "test.fan_parent"), 0.0);
+
+  std::ostringstream table;
+  obs::prof_write_table(table, "test.fan_parent");
+  const std::string text = table.str();
+  EXPECT_EQ(text.find("100% of wall time"), std::string::npos) << text;
+  EXPECT_EQ(text.find("attribution"), std::string::npos) << text;
+  EXPECT_NE(text.find("overlap"), std::string::npos) << text;
 }
 
 TEST(ProfZoneTest, DisabledZonesCostNothingAndCountNothing) {

@@ -9,6 +9,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "channel/link.h"
+#include "dsp/units.h"
 #include "mac/query_reply.h"
 #include "sim/faults.h"
 #include "sim/network.h"
@@ -209,6 +211,227 @@ TEST(RunPlan, FixedShardPartitionAndPerGroupTables) {
     EXPECT_EQ(wide.shards[i].group, plan.shards[i].group);
     EXPECT_EQ(wide.shards[i].begin, plan.shards[i].begin);
     EXPECT_EQ(wide.shards[i].end, plan.shards[i].end);
+  }
+
+  // The FDMA map is closed form: tag t sits in group t % G at slot t / G.
+  // Covered: a fleet G does not divide, and fewer tags than groups (group 2
+  // of the 2-tag fleet is empty and gets no shard).
+  for (const std::size_t n : {std::size_t{1000}, std::size_t{2}}) {
+    NetworkConfig odd = small_ward_config();
+    odd.topology.num_tags = n;
+    odd.rounds = 2;
+    odd.shard_tags = 64;
+    const NetworkCoordinator fleet(odd);
+    ASSERT_EQ(fleet.placement().tags.size(), n);
+    const std::size_t groups = odd.wifi_channels.size();
+    std::vector<std::size_t> size(groups, 0);
+    for (std::size_t t = 0; t < n; ++t) {
+      EXPECT_EQ(group_tag(groups, t % groups, t / groups), t);
+      ++size[t % groups];
+    }
+    std::vector<std::size_t> sharded(groups, 0);
+    for (const RunPlan::Shard& sh : fleet.plan().shards) {
+      EXPECT_LT(sh.begin, sh.end);
+      sharded[sh.group] += sh.end - sh.begin;
+    }
+    for (std::size_t g = 0; g < groups; ++g) {
+      EXPECT_EQ(group_size(n, groups, g), size[g]) << n << " tags, group " << g;
+      EXPECT_EQ(fleet.channel_plan()[g].tags, size[g]);
+      EXPECT_EQ(sharded[g], size[g]);
+    }
+    // Every tag is polled once per round, on its own group's channel.
+    const NetworkStats s = fleet.run();
+    EXPECT_EQ(s.queries_sent, n * odd.rounds);
+    ASSERT_EQ(s.per_tag.size(), n);
+    for (std::size_t t = 0; t < n; ++t) {
+      EXPECT_EQ(s.per_tag[t].tag_id, t);
+      EXPECT_EQ(s.per_tag[t].queries, odd.rounds);
+      EXPECT_EQ(s.per_tag[t].wifi_channel, odd.wifi_channels[t % groups]);
+    }
+  }
+  EXPECT_EQ(group_size(2, 3, 2), 0u);
+}
+
+// --- build stages ------------------------------------------------------------
+
+TEST(BuildStages, LinkPerIsTheClosedFormOfEachRung) {
+  for (const double snr : {-6.0, 0.0, 3.0, 8.0}) {
+    for (std::size_t w = 0; w + 1 < mac::kNumLinkWaveforms; ++w) {
+      const auto wf = static_cast<mac::LinkWaveform>(w);
+      EXPECT_EQ(link_per(wf, snr, 35),
+                channel::per_80211b(mac::waveform_rate(wf), snr, 35));
+    }
+    EXPECT_EQ(link_per(mac::LinkWaveform::kZigbee, snr, 35),
+              channel::per_802154(snr, 35));
+  }
+}
+
+TEST(BuildStages, LinksArePureAndLeavePerToStageFour) {
+  NetworkConfig cfg = small_ward_config();
+  cfg.ap_failover = true;
+  const NetworkCoordinator net(cfg);
+  const std::vector<TagLink> links = build_links(net.config(), net.placement());
+  NetworkConfig wide = net.config();
+  wide.num_threads = 8;
+  const std::vector<TagLink> wide_links = build_links(wide, net.placement());
+  ASSERT_EQ(links.size(), net.links().size());
+  ASSERT_EQ(wide_links.size(), links.size());
+  std::size_t failovers = 0;
+  for (std::size_t t = 0; t < links.size(); ++t) {
+    for (const TagLink* other : {&net.links()[t], &wide_links[t]}) {
+      EXPECT_EQ(links[t].helper, other->helper);
+      EXPECT_EQ(links[t].ap, other->ap);
+      EXPECT_EQ(links[t].snr_db, other->snr_db);
+      EXPECT_EQ(links[t].reply_rssi_dbm, other->reply_rssi_dbm);
+      EXPECT_EQ(links[t].downlink_miss_prob, other->downlink_miss_prob);
+      EXPECT_EQ(links[t].has_failover, other->has_failover);
+      EXPECT_EQ(links[t].failover_ap, other->failover_ap);
+      EXPECT_EQ(links[t].failover_snr_db, other->failover_snr_db);
+    }
+    EXPECT_GE(links[t].ap_distance_m, 0.05);
+    if (links[t].has_failover) {
+      ++failovers;
+      EXPECT_NE(links[t].failover_ap, links[t].ap);
+    }
+    EXPECT_EQ(links[t].reply_per, 0.0);
+    for (const double per : links[t].waveform_per) EXPECT_EQ(per, 0.0);
+  }
+  EXPECT_GT(failovers, 0u);
+}
+
+TEST(BuildStages, GroupLoadSumsEachGroupInTagOrder) {
+  NetworkConfig cfg;
+  std::vector<TagLink> links(5);
+  for (std::size_t t = 0; t < links.size(); ++t) {
+    links[t].reply_rssi_dbm = -60.0 - static_cast<double>(t);
+    links[t].downlink_miss_prob = 0.1 * static_cast<double>(t);
+  }
+  cfg.wifi_channels = {1, 6};  // groups {0, 2, 4} and {1, 3}
+  const std::vector<GroupLoad> load = group_load(cfg, links);
+  ASSERT_EQ(load.size(), 2u);
+  mac::ReservationConfig rc;
+  rc.scheme = cfg.reservation;
+  rc.channel_busy_probability = cfg.ambient_busy_probability;
+  rc.cts_detection_probability = cfg.cts_detection_probability;
+  const mac::ReservationOutcome base = mac::reservation_outcome(rc);
+  const double airtime = wifi::frame_airtime_us(cfg.rate, cfg.payload_bytes) /
+                         mac::poll_slot_us(cfg.polling);
+  for (std::size_t g = 0; g < 2; ++g) {
+    double watts = 0.0;
+    double transmit = 0.0;
+    double tags = 0.0;
+    for (std::size_t t = g; t < links.size(); t += 2) {
+      watts += dsp::dbm_to_watts(links[t].reply_rssi_dbm);
+      transmit +=
+          (1.0 - links[t].downlink_miss_prob) * (base.p_clean + base.p_collision);
+      tags += 1.0;
+    }
+    EXPECT_EQ(load[g].mean_reply_watts, watts / tags);
+    EXPECT_EQ(load[g].occupancy, airtime * (transmit / tags));
+  }
+  // One task per group: the thread count never moves a bit.
+  cfg.num_threads = 8;
+  const std::vector<GroupLoad> wide = group_load(cfg, links);
+  for (std::size_t g = 0; g < 2; ++g) {
+    EXPECT_EQ(wide[g].mean_reply_watts, load[g].mean_reply_watts);
+    EXPECT_EQ(wide[g].occupancy, load[g].occupancy);
+  }
+  // A group without tags carries no load (6 groups, 5 tags).
+  cfg.wifi_channels = {1, 6, 11, 3, 9, 13};
+  const std::vector<GroupLoad> sparse = group_load(cfg, links);
+  ASSERT_EQ(sparse.size(), 6u);
+  EXPECT_EQ(sparse[5].mean_reply_watts, 0.0);
+  EXPECT_EQ(sparse[5].occupancy, 0.0);
+  EXPECT_GT(sparse[4].occupancy, 0.0);
+}
+
+TEST(BuildStages, ChannelPlanLeaksOnlyFromLoadedAggressors) {
+  // BLE 38 (2426 MHz): channel 1's mirror lands on channel 7 and channel
+  // 7's on channel 1.
+  NetworkConfig cfg;
+  cfg.ble_channel = 38;
+  cfg.wifi_channels = {1, 7};
+  std::vector<GroupLoad> load(2);
+  const std::vector<ChannelStats> quiet = plan_channels(cfg, 41, load);
+  ASSERT_EQ(quiet.size(), 2u);
+  const double slot_us = mac::poll_slot_us(cfg.polling);
+  for (std::size_t g = 0; g < 2; ++g) {
+    EXPECT_EQ(quiet[g].wifi_channel, cfg.wifi_channels[g]);
+    EXPECT_EQ(quiet[g].leakage_noise_rise_db, 0.0);
+    EXPECT_EQ(quiet[g].busy_probability, cfg.ambient_busy_probability);
+  }
+  EXPECT_EQ(quiet[0].tags, 21u);
+  EXPECT_EQ(quiet[1].tags, 20u);
+  EXPECT_EQ(quiet[1].elapsed_us,
+            static_cast<double>(cfg.rounds) * 20.0 * slot_us);
+
+  // A weak aggressor on channel 1 raises channel 7's floor only.
+  load[0] = {dsp::dbm_to_watts(-70.0), 0.5};
+  const std::vector<ChannelStats> weak = plan_channels(cfg, 41, load);
+  EXPECT_EQ(weak[0].occupancy, 0.5);
+  EXPECT_EQ(weak[0].leakage_noise_rise_db, 0.0);
+  EXPECT_GT(weak[1].leakage_noise_rise_db, 0.0);
+  EXPECT_EQ(weak[1].busy_probability, cfg.ambient_busy_probability);
+  // A strong one also trips the victim's CCA.
+  load[0].mean_reply_watts = dsp::dbm_to_watts(0.0);
+  const std::vector<ChannelStats> strong = plan_channels(cfg, 41, load);
+  EXPECT_GT(strong[1].leakage_noise_rise_db, weak[1].leakage_noise_rise_db);
+  EXPECT_GT(strong[1].busy_probability, cfg.ambient_busy_probability);
+  // A group without tags is no aggressor, whatever load it is handed.
+  const std::vector<GroupLoad> swapped = {GroupLoad{}, load[0]};
+  EXPECT_GT(plan_channels(cfg, 2, swapped)[0].leakage_noise_rise_db, 0.0);
+  EXPECT_EQ(plan_channels(cfg, 1, swapped)[0].leakage_noise_rise_db, 0.0);
+}
+
+TEST(BuildStages, PerTableHoldsOnlyReachableRungs) {
+  NetworkConfig cfg = small_ward_config();
+  cfg.ap_failover = true;
+  cfg.ssb_sideband_suppression_db = 6.0;  // a real leakage rise
+  const NetworkCoordinator net(cfg);
+  const std::vector<TagLink> bare = build_links(net.config(), net.placement());
+  const std::vector<ChannelStats>& channels = net.channel_plan();
+  const mac::LinkWaveform initial = mac::waveform_for_rate(cfg.rate);
+  const std::size_t groups = channels.size();
+
+  mac::FallbackConfig rate_only;
+  rate_only.enable_rate_fallback = true;
+  mac::FallbackConfig with_zigbee = rate_only;
+  with_zigbee.enable_zigbee_fallback = true;
+  for (const mac::FallbackConfig& fb :
+       {mac::FallbackConfig{}, rate_only, with_zigbee}) {
+    for (const std::size_t wire : {cfg.payload_bytes, cfg.payload_bytes + 5}) {
+      NetworkConfig c = net.config();
+      c.fallback = fb;
+      const std::vector<TagLink> links = tag_pers(c, wire, channels, bare);
+      const auto first = static_cast<std::size_t>(initial);
+      const auto last =
+          static_cast<std::size_t>(mac::lowest_reachable(fb, initial));
+      for (std::size_t t = 0; t < links.size(); ++t) {
+        const TagLink& l = links[t];
+        const double rise = channels[t % groups].leakage_noise_rise_db;
+        for (std::size_t w = 0; w < mac::kNumLinkWaveforms; ++w) {
+          const auto wf = static_cast<mac::LinkWaveform>(w);
+          const bool reachable = w >= first && w <= last;
+          EXPECT_EQ(l.waveform_per[w],
+                    reachable ? link_per(wf, l.snr_db - rise, wire) : 1.0);
+          EXPECT_EQ(l.failover_waveform_per[w],
+                    reachable && l.has_failover
+                        ? link_per(wf, l.failover_snr_db - rise, wire)
+                        : 1.0);
+        }
+        EXPECT_EQ(l.reply_per,
+                  link_per(initial, l.snr_db - rise, cfg.payload_bytes));
+      }
+    }
+  }
+  // The coordinator's table is exactly stage 4 over stages 1-3.
+  const std::vector<TagLink> staged =
+      tag_pers(net.config(), net.wire_bytes(), channels, bare);
+  for (std::size_t t = 0; t < staged.size(); ++t) {
+    EXPECT_EQ(staged[t].reply_per, net.links()[t].reply_per);
+    EXPECT_EQ(staged[t].waveform_per, net.links()[t].waveform_per);
+    EXPECT_EQ(staged[t].failover_waveform_per,
+              net.links()[t].failover_waveform_per);
   }
 }
 

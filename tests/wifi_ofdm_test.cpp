@@ -6,6 +6,7 @@
 #include <cmath>
 #include <limits>
 #include <set>
+#include <stdexcept>
 
 #include "backscatter/detector.h"
 #include "channel/awgn.h"
@@ -91,6 +92,23 @@ TEST(Convolutional, DepunctureInsertsErasures) {
   std::size_t erasures = 0;
   for (auto b : padded) erasures += (b == 2);
   EXPECT_EQ(erasures, padded.size() / 3);
+
+  // Rate 2/3 drops every fourth mother-code bit: 360 punctured bits of 240
+  // data bits restore all 480, the final period's trailing erasure included.
+  const Bits data = random_bits(240, 25);
+  const Bits punct23 = puncture(convolutional_encode(data), CodeRate::kRate2_3);
+  ASSERT_EQ(punct23.size(), 360u);
+  const Bits padded23 = depuncture_with_erasures(punct23, CodeRate::kRate2_3);
+  ASSERT_EQ(padded23.size(), 2 * data.size());
+  for (std::size_t i = 0; i < padded23.size(); ++i) {
+    EXPECT_EQ(padded23[i] == 2, i % 4 == 3) << "position " << i;
+  }
+}
+
+TEST(Convolutional, ViterbiRejectsShortCodedStream) {
+  const Bits coded = convolutional_encode(random_bits(24, 26));
+  EXPECT_THROW(viterbi_decode(coded, 25), std::invalid_argument);
+  EXPECT_EQ(viterbi_decode(coded, 24).size(), 24u);
 }
 
 TEST(Convolutional, CodeRateValues) {
@@ -331,7 +349,8 @@ TEST_P(OfdmLoopback, DecodeAt25DbSnr) {
 INSTANTIATE_TEST_SUITE_P(Rates, OfdmLoopback,
                          ::testing::Values(OfdmRate::k6, OfdmRate::k12,
                                            OfdmRate::k24, OfdmRate::k36,
-                                           OfdmRate::k54));
+                                           OfdmRate::k54, OfdmRate::k9,
+                                           OfdmRate::k48));
 
 TEST(OfdmRx, NoFrameInNoise) {
   itb::dsp::Xoshiro256 rng(63);
