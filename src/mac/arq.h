@@ -1,7 +1,7 @@
-// Link-layer ARQ for interscatter uplinks (ROADMAP item 4's reliability
-// half): fragmentation with per-fragment CRC-16, selective-repeat
-// retransmission with capped exponential backoff and per-message retry
-// budgets, and a rate-fallback ladder for graceful degradation.
+// Link-layer ARQ for interscatter uplinks: fragment accounting,
+// selective-repeat retransmission with capped exponential backoff and
+// per-message retry budgets, and a rate-fallback ladder for graceful
+// degradation.
 //
 // Why it exists: a failed channel::link draw used to be a lost reply —
 // nothing retried, backed off, or degraded. Implanted fleets live with
@@ -10,8 +10,10 @@
 // hoped for per poll.
 //
 // The pieces are deliberately separable:
-//   - fragment/reassemble: pure byte-level framing (header + CRC-16 X.25,
-//     reusing phycommon/crc), usable by any transport;
+//   - fragment_count() and the kFragment*Bytes sizes: how many fragments
+//     a message takes and what each one's framing (header + CRC-16 X.25)
+//     adds on the air. The simulator charges the framing's airtime and
+//     PER; no code path builds or parses fragment bytes;
 //   - ArqConfig + backoff_slots(): the retry policy, closed over small
 //     integers so the network simulator can drive it per TDMA slot;
 //   - arq_delivery_probability()/arq_expected_attempts(): closed-form
@@ -26,28 +28,18 @@
 // digest contract of DESIGN.md survives.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <optional>
-#include <vector>
 
-#include "phycommon/bits.h"
 #include "wifi/rates.h"
 
 namespace itb::mac {
 
-using itb::phy::Bytes;
-
 // --- fragmentation -----------------------------------------------------------
 
-/// Wire layout of one fragment:
+/// Wire layout of one fragment, as the simulator charges it airtime:
 ///   [message_seq, frag_index, frag_count, payload..., crc16 lo, crc16 hi]
 /// where the CRC-16 (X.25, phy::crc16_x25) covers header + payload.
-struct FragmentHeader {
-  std::uint8_t message_seq = 0;  ///< message identity (wraps mod 256)
-  std::uint8_t frag_index = 0;
-  std::uint8_t frag_count = 1;
-};
-
 constexpr std::size_t kFragmentHeaderBytes = 3;
 constexpr std::size_t kFragmentCrcBytes = 2;
 constexpr std::size_t kFragmentOverheadBytes =
@@ -61,46 +53,6 @@ constexpr std::size_t kMaxFragmentsPerMessage = 255;
 /// still occupies one delivery slot.
 std::size_t fragment_count(std::size_t message_bytes,
                            std::size_t fragment_payload_bytes);
-
-/// Serializes fragment `index` of `message`. Throws std::invalid_argument
-/// when index is out of range or the message needs > 255 fragments.
-Bytes make_fragment(const Bytes& message, std::size_t fragment_payload_bytes,
-                    std::uint8_t message_seq, std::size_t index);
-
-struct ParsedFragment {
-  FragmentHeader header;
-  Bytes payload;
-};
-
-/// CRC-checked parse of one fragment; nullopt on truncation, CRC failure,
-/// or an inconsistent header (index >= count, count == 0).
-std::optional<ParsedFragment> parse_fragment(const Bytes& wire);
-
-/// Selective-repeat reassembly: accepts fragments in any order, tolerates
-/// duplicates, and reports exactly which indices are still missing so the
-/// sender retransmits only those.
-class Reassembler {
- public:
-  /// Feeds one parsed fragment. Returns true when the fragment was new
-  /// (first copy of its index for the current message); false for
-  /// duplicates or a fragment of a different message_seq than the one in
-  /// progress (stale retransmission).
-  bool accept(const ParsedFragment& f);
-
-  bool complete() const;
-  /// Reassembled message bytes; empty until complete().
-  Bytes message() const;
-  /// Fragment indices not yet received (ascending); empty until the first
-  /// accept() establishes the fragment count.
-  std::vector<std::uint8_t> missing() const;
-  /// Drops any partial state so the next accept() starts a new message.
-  void reset();
-
- private:
-  bool started_ = false;
-  std::uint8_t seq_ = 0;
-  std::vector<std::optional<Bytes>> parts_;
-};
 
 // --- retry policy ------------------------------------------------------------
 

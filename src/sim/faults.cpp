@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
+#include <type_traits>
 
 namespace itb::sim {
 
@@ -102,91 +104,115 @@ FaultSchedule generate_fault_schedule(const FaultProfile& profile,
   return out;
 }
 
-FaultTimeline::FaultTimeline(const FaultSchedule& schedule, std::size_t num_aps,
-                             const std::vector<unsigned>& wifi_channels,
-                             std::size_t num_tags) {
-  ap_.assign(num_aps, {});
-  channel_.assign(wifi_channels.size(), {});
-  tag_.assign(num_tags, {});
-
-  for (const FaultEvent& ev : schedule.events) {
-    if (!(ev.duration_us > 0.0)) continue;
-    const Interval iv{ev.start_us, ev.end_us(), ev.magnitude_db};
-    switch (ev.kind) {
-      case FaultKind::kApOutage:
-        if (ev.entity < ap_.size()) {
-          ap_[ev.entity].push_back(iv);
-          any_ = true;
-        }
-        break;
-      case FaultKind::kInterference:
-        for (std::size_t g = 0; g < wifi_channels.size(); ++g) {
-          if (wifi_channels[g] == ev.entity) {
-            channel_[g].push_back(iv);
-            any_ = true;
-          }
-        }
-        break;
-      case FaultKind::kBrownout:
-        if (ev.entity < tag_.size()) {
-          tag_[ev.entity].push_back(iv);
-          any_ = true;
-        }
-        break;
-      case FaultKind::kSnrSlump:
-        slumps_.push_back(iv);
-        any_ = true;
-        break;
+template <typename Item>
+template <typename RowsOf>
+void FaultTimeline::IntervalTable<Item>::compile(std::size_t rows,
+                                                 const FaultSchedule& schedule,
+                                                 RowsOf&& rows_of) {
+  // Calls place(row, item) for every row an event lands in, in schedule
+  // order. Events with a non-positive or NaN duration land nowhere.
+  const auto for_each_row = [&](auto&& place) {
+    for (const FaultEvent& ev : schedule.events) {
+      if (!(ev.duration_us > 0.0)) continue;
+      Item item{};
+      item.start_us = ev.start_us;
+      item.end_us = ev.end_us();
+      if constexpr (std::is_same_v<Item, Rise>) item.rise_db = ev.magnitude_db;
+      rows_of(ev, [&](std::size_t r) { place(r, item); });
     }
-  }
-
-  const auto by_start = [](const Interval& a, const Interval& b) {
-    return a.start_us < b.start_us;
   };
-  for (auto& v : ap_) std::sort(v.begin(), v.end(), by_start);
-  for (auto& v : channel_) std::sort(v.begin(), v.end(), by_start);
-  for (auto& v : tag_) std::sort(v.begin(), v.end(), by_start);
-  std::sort(slumps_.begin(), slumps_.end(), by_start);
+
+  // Counting sort: count row r's items into offsets[r + 1], prefix-sum so
+  // offsets[r] is row r's start, then fill. The fill moves offsets[r] to
+  // row r's end, so shifting the array right by one restores the starts.
+  offsets.assign(rows + 1, 0);
+  for_each_row([&](std::size_t r, const Item&) { ++offsets[r + 1]; });
+  std::partial_sum(offsets.begin(), offsets.end(), offsets.begin());
+  items.resize(offsets.back());
+  for_each_row([&](std::size_t r, const Item& item) {
+    items[offsets[r]++] = item;
+  });
+  std::copy_backward(offsets.begin(), offsets.end() - 1, offsets.end());
+  offsets[0] = 0;
+
+  // Rows are filled in schedule order, so each row's sort input, and with
+  // it the order of equal-start ties that active_db() adds up, is fixed by
+  // the schedule alone.
+  for (std::size_t r = 0; r < rows; ++r) {
+    std::sort(items.begin() + offsets[r], items.begin() + offsets[r + 1],
+              [](const Item& a, const Item& b) {
+                return a.start_us < b.start_us;
+              });
+  }
 }
 
-bool FaultTimeline::active(const std::vector<Interval>& v, double t_us) {
-  for (const Interval& iv : v) {
-    if (iv.start_us > t_us) break;  // sorted by start
-    if (t_us < iv.end_us) return true;
+template <typename Item>
+bool FaultTimeline::IntervalTable<Item>::active(std::size_t row,
+                                                double t_us) const {
+  if (row + 1 >= offsets.size()) return false;
+  for (std::size_t i = offsets[row]; i < offsets[row + 1]; ++i) {
+    if (items[i].start_us > t_us) break;  // sorted by start
+    if (t_us < items[i].end_us) return true;
   }
   return false;
 }
 
-Real FaultTimeline::active_db(const std::vector<Interval>& v, double t_us) {
+template <typename Item>
+Real FaultTimeline::IntervalTable<Item>::active_db(std::size_t row,
+                                                   double t_us) const {
   Real db = 0.0;
-  for (const Interval& iv : v) {
-    if (iv.start_us > t_us) break;
-    if (t_us < iv.end_us) db += iv.magnitude_db;
+  if (row + 1 >= offsets.size()) return db;
+  for (std::size_t i = offsets[row]; i < offsets[row + 1]; ++i) {
+    if (items[i].start_us > t_us) break;
+    if (t_us < items[i].end_us) db += items[i].rise_db;
   }
   return db;
 }
 
+FaultTimeline::FaultTimeline(const FaultSchedule& schedule, std::size_t num_aps,
+                             const std::vector<unsigned>& wifi_channels,
+                             std::size_t num_tags) {
+  // AP outages and brownouts land on their entity's row; ids past the
+  // fleet land nowhere.
+  const auto entity_row = [](FaultKind kind, std::size_t rows) {
+    return [kind, rows](const FaultEvent& ev, auto&& place) {
+      if (ev.kind == kind && ev.entity < rows) place(ev.entity);
+    };
+  };
+  ap_.compile(num_aps, schedule, entity_row(FaultKind::kApOutage, num_aps));
+  tag_.compile(num_tags, schedule, entity_row(FaultKind::kBrownout, num_tags));
+  // A burst lands on every group of its channel; none outside the plan.
+  channel_.compile(wifi_channels.size(), schedule,
+                   [&](const FaultEvent& ev, auto&& place) {
+                     if (ev.kind != FaultKind::kInterference) return;
+                     for (std::size_t g = 0; g < wifi_channels.size(); ++g) {
+                       if (wifi_channels[g] == ev.entity) place(g);
+                     }
+                   });
+  slumps_.compile(1, schedule, [](const FaultEvent& ev, auto&& place) {
+    if (ev.kind == FaultKind::kSnrSlump) place(0);
+  });
+  any_ = !(ap_.items.empty() && channel_.items.empty() &&
+           tag_.items.empty() && slumps_.items.empty());
+}
+
 bool FaultTimeline::ap_down(std::uint32_t ap, double t_us) const {
-  if (!any_ || ap >= ap_.size()) return false;
-  return active(ap_[ap], t_us);
+  return any_ && ap_.active(ap, t_us);
 }
 
 bool FaultTimeline::tag_browned_out(std::uint32_t tag, double t_us) const {
-  if (!any_ || tag >= tag_.size()) return false;
-  return active(tag_[tag], t_us);
+  return any_ && tag_.active(tag, t_us);
 }
 
 Real FaultTimeline::channel_noise_rise_db(std::size_t group,
                                           double t_us) const {
   if (!any_) return 0.0;
-  Real rise = active_db(slumps_, t_us);
-  if (group < channel_.size()) rise += active_db(channel_[group], t_us);
-  return rise;
+  return slumps_.active_db(0, t_us) + channel_.active_db(group, t_us);
 }
 
 Real FaultTimeline::channel_busy_boost(std::size_t group, double t_us) const {
-  if (!any_ || group >= channel_.size()) return 0.0;
-  const Real rise = active_db(channel_[group], t_us);
+  if (!any_) return 0.0;
+  const Real rise = channel_.active_db(group, t_us);
   if (rise <= 0.0) return 0.0;
   return 1.0 - std::exp(-rise / 10.0);
 }

@@ -11,7 +11,7 @@
 // iteration order.
 //
 // The simulator consumes a compiled FaultTimeline: immutable per-entity
-// interval lists built once before the parallel shard fan-out. Every
+// interval tables built once before the parallel shard fan-out. Every
 // query the run loop makes (`ap_down(ap, t)`, `channel_noise_rise_db(g,
 // t)`, ...) is a pure function of entity and simulated time, which is what
 // keeps the sharded bit-identical digest contract of DESIGN.md intact:
@@ -122,8 +122,8 @@ FaultSchedule generate_fault_schedule(const FaultProfile& profile,
                                       const std::vector<unsigned>& wifi_channels,
                                       std::size_t num_tags, std::uint64_t seed);
 
-/// Immutable compiled form: per-entity interval lists with O(active
-/// events) point queries. Built once before the parallel phase.
+/// Immutable compiled form: one flat interval table per fault class with
+/// O(active events) point queries. Built once before the parallel phase.
 class FaultTimeline {
  public:
   FaultTimeline() = default;
@@ -151,19 +151,39 @@ class FaultTimeline {
   Real channel_busy_boost(std::size_t group, double t_us) const;
 
  private:
-  struct Interval {
+  /// A fault window [start_us, end_us).
+  struct Window {
     double start_us;
     double end_us;
-    Real magnitude_db;
   };
-  static bool active(const std::vector<Interval>& v, double t_us);
-  static Real active_db(const std::vector<Interval>& v, double t_us);
+  /// A window that raises the noise floor by rise_db while active.
+  struct Rise : Window {
+    Real rise_db;
+  };
+  /// One fault class in CSR form: row r's items are
+  /// items[offsets[r], offsets[r + 1]), sorted by start. Rows past the end
+  /// (out-of-range entities) hold no items.
+  template <typename Item>
+  struct IntervalTable {
+    std::vector<std::uint32_t> offsets;  ///< rows + 1 entries
+    std::vector<Item> items;
+
+    /// Fills `rows` rows from the schedule: rows_of(event, place) calls
+    /// place(row) for every row the event lands in.
+    template <typename RowsOf>
+    void compile(std::size_t rows, const FaultSchedule& schedule,
+                 RowsOf&& rows_of);
+    /// Whether any item of `row` covers t.
+    bool active(std::size_t row, double t_us) const;
+    /// Sum of the rises of `row`'s items covering t, in row order.
+    Real active_db(std::size_t row, double t_us) const;
+  };
 
   bool any_ = false;
-  std::vector<std::vector<Interval>> ap_;       ///< per AP index
-  std::vector<std::vector<Interval>> channel_;  ///< per FDMA group index
-  std::vector<std::vector<Interval>> tag_;      ///< per tag id
-  std::vector<Interval> slumps_;                ///< fleet-wide SNR slumps
+  IntervalTable<Window> ap_;       ///< per AP index
+  IntervalTable<Rise> channel_;    ///< per FDMA group index
+  IntervalTable<Window> tag_;      ///< per tag id
+  IntervalTable<Rise> slumps_;     ///< one fleet-wide row
 };
 
 }  // namespace itb::sim

@@ -55,9 +55,9 @@ PollGates gates_at(const TagLink& link, const FaultTimeline& timeline,
                    std::uint32_t tag, double t_us) {
   PollGates g;
   g.link_down = link.link_down;
-  g.ap_down = !link.link_down && timeline.ap_down(link.ap, t_us);
+  g.ap_down = !link.link_down && timeline.ap_down(link.primary.ap, t_us);
   g.failover_up = g.ap_down && link.has_failover &&
-                  !timeline.ap_down(link.failover_ap, t_us);
+                  !timeline.ap_down(link.failover.ap, t_us);
   g.browned_out = !link.link_down && timeline.tag_browned_out(tag, t_us);
   return g;
 }
@@ -330,9 +330,9 @@ std::vector<TagLink> build_links(const NetworkConfig& cfg,
       return std::max(distance_m(node, p), Real{0.05});
     };
     link.helper = static_cast<std::uint32_t>(helper_grid.nearest(p));
-    link.ap = static_cast<std::uint32_t>(ap_grid.nearest(p));
+    const std::size_t ap = ap_grid.nearest(p);
     link.helper_distance_m = clamped_m(placement.helpers[link.helper]);
-    link.ap_distance_m = clamped_m(placement.aps[link.ap]);
+    link.ap_distance_m = clamped_m(placement.aps[ap]);
 
     itb::channel::BackscatterLinkConfig budget;
     budget.ble_tx_power_dbm = cfg.ble_tx_power_dbm;
@@ -340,19 +340,28 @@ std::vector<TagLink> build_links(const NetworkConfig& cfg,
     budget.tag_medium_loss_db = cfg.tag_medium_loss_db;
     budget.rx_noise_figure_db = cfg.rx_noise_figure_db;
     budget.pathloss.exponent = cfg.pathloss_exponent;
+    // Fills one AP end of the link (budget, impairments, downlink) and
+    // returns the budget sample.
+    const auto serve = [&](std::size_t ap_index, Real distance_m,
+                           ApLink& end) {
+      const itb::channel::LinkSample s =
+          itb::channel::backscatter_rssi(budget, distance_m);
+      end.ap = static_cast<std::uint32_t>(ap_index);
+      end.snr_db = s.link_down ? s.snr_db : impair(s.snr_db, g);
+      end.downlink_miss_prob = downlink_miss(distance_m);
+      return s;
+    };
     const itb::channel::LinkSample s =
-        itb::channel::backscatter_rssi(budget, link.ap_distance_m);
+        serve(ap, link.ap_distance_m, link.primary);
     link.reply_rssi_dbm = s.rssi_dbm;
     link.link_down = s.link_down;
-    link.snr_db = link.link_down ? s.snr_db : impair(s.snr_db, g);
-    link.downlink_miss_prob = downlink_miss(link.ap_distance_m);
 
     // Failover target: next-nearest AP, with its own precomputed budget.
     // Reassigning to a different Wi-Fi channel would rewrite the TDMA
     // schedule mid-run, so failover keeps the tag's FDMA group and only
     // swaps which AP transmits/receives.
     if (cfg.ap_failover && placement.aps.size() > 1) {
-      std::size_t fo = ap_grid.nearest(p, link.ap);
+      std::size_t fo = ap_grid.nearest(p, ap);
       const Real best = clamped_m(placement.aps[fo]);
       // The historical scan compared *clamped* distances, which ties every
       // AP inside the 5 cm floor and resolves to the lowest index. The
@@ -361,18 +370,11 @@ std::vector<TagLink> build_links(const NetworkConfig& cfg,
       // The grid's pick qualifies, so the scan stops there at the latest.
       if (best <= Real{0.05}) {
         fo = 0;
-        while (fo == link.ap || distance_m(placement.aps[fo], p) > Real{0.05}) {
+        while (fo == ap || distance_m(placement.aps[fo], p) > Real{0.05}) {
           ++fo;
         }
       }
-      link.failover_ap = static_cast<std::uint32_t>(fo);
-      const itb::channel::LinkSample fs =
-          itb::channel::backscatter_rssi(budget, best);
-      link.has_failover = !fs.link_down;
-      if (link.has_failover) {
-        link.failover_snr_db = impair(fs.snr_db, g);
-        link.failover_downlink_miss_prob = downlink_miss(best);
-      }
+      link.has_failover = !serve(fo, best, link.failover).link_down;
     }
   });
   return links;
@@ -398,7 +400,8 @@ std::vector<GroupLoad> group_load(const NetworkConfig& cfg,
       const TagLink& link = links[group_tag(num_groups, g, s)];
       watts += itb::dsp::dbm_to_watts(link.reply_rssi_dbm);
       transmit_prob +=
-          (1.0 - link.downlink_miss_prob) * (base.p_clean + base.p_collision);
+          (1.0 - link.primary.downlink_miss_prob) *
+          (base.p_clean + base.p_collision);
     }
     const auto sz = static_cast<Real>(size);
     load[g].mean_reply_watts = watts / sz;
@@ -468,22 +471,20 @@ std::vector<TagLink> tag_pers(const NetworkConfig& cfg, std::size_t wire_bytes,
   for_each_tag(links.size(), cfg.num_threads, [&](std::size_t t) {
     TagLink& link = links[t];
     const Real rise = channels[t % num_groups].leakage_noise_rise_db;
-    const Real snr = link.snr_db - rise;
-    const Real fo_snr = link.failover_snr_db - rise;
-    link.waveform_per.fill(1.0);
-    link.failover_waveform_per.fill(1.0);
-    for (std::size_t w = first; w <= last; ++w) {
-      const auto wf = static_cast<mac::LinkWaveform>(w);
-      link.waveform_per[w] = link_per(wf, snr, wire_bytes);
-      if (link.has_failover) {
-        link.failover_waveform_per[w] = link_per(wf, fo_snr, wire_bytes);
+    for (ApLink* end : {&link.primary, &link.failover}) {
+      end->waveform_per.fill(1.0);
+      if (end == &link.failover && !link.has_failover) continue;
+      for (std::size_t w = first; w <= last; ++w) {
+        end->waveform_per[w] = link_per(static_cast<mac::LinkWaveform>(w),
+                                        end->snr_db - rise, wire_bytes);
       }
     }
     // reply_per is the initial rung at the bare payload size: without ARQ
     // framing that is the entry just computed.
-    link.reply_per = wire_bytes == cfg.payload_bytes
-                         ? link.waveform_per[first]
-                         : link_per(initial, snr, cfg.payload_bytes);
+    link.reply_per =
+        wire_bytes == cfg.payload_bytes
+            ? link.primary.waveform_per[first]
+            : link_per(initial, link.primary.snr_db - rise, cfg.payload_bytes);
   });
   return links;
 }
@@ -651,17 +652,15 @@ void NetworkCoordinator::run_shard(const RunPlan& plan, std::size_t si,
       // holds.
       const PollStart start =
           resolver.start(ts, st, gates_at(link, timeline_, tag, t_us), t_us);
-      const std::uint32_t ap = start.failover ? link.failover_ap : link.ap;
+      const ApLink& via = start.failover ? link.failover : link.primary;
       if (start.skipped) {
-        tracer.poll(t_us, tag, r, *start.skipped, wf, ap, false);
+        tracer.poll(t_us, tag, r, *start.skipped, wf, via.ap, false);
         continue;
       }
       PollOutcome out = PollOutcome::kDelivered;
       auto query_rng =
           entity_stream(cfg_.seed, tag, phase_counter(r, kQueryPhase));
-      const Real miss = start.failover ? link.failover_downlink_miss_prob
-                                       : link.downlink_miss_prob;
-      if (query_rng.uniform() < miss) {
+      if (query_rng.uniform() < via.downlink_miss_prob) {
         out = PollOutcome::kDownlinkMiss;
       } else {
         // The addressed tag replies mid-way through the advertising window
@@ -691,14 +690,11 @@ void NetworkCoordinator::run_shard(const RunPlan& plan, std::size_t si,
             // Active noise-floor faults (bursts, slumps) force the PER back
             // through the closed form at the degraded SNR; clean slots use
             // the precomputed per-rung table.
-            Real per = start.failover ? link.failover_waveform_per[wi]
-                                      : link.waveform_per[wi];
+            Real per = via.waveform_per[wi];
             const Real rise = timeline_.channel_noise_rise_db(g, t_us);
             if (rise > 0.0) {
-              const Real snr =
-                  (start.failover ? link.failover_snr_db : link.snr_db) -
-                  ch.leakage_noise_rise_db - rise;
-              per = link_per(wf, snr, wire_bytes_);
+              per = link_per(wf, via.snr_db - ch.leakage_noise_rise_db - rise,
+                             wire_bytes_);
             }
             if (reply_rng.uniform() < per) out = PollOutcome::kDecodeFailure;
           }
@@ -712,7 +708,7 @@ void NetworkCoordinator::run_shard(const RunPlan& plan, std::size_t si,
         res.stats.query_latency.record(done_us - pending_since[i]);
         pending_since[i] = static_cast<double>(r + 1) * grp.round_us;
       }
-      tracer.poll(t_us, tag, r, out, wf, ap, resolver.retransmission(st));
+      tracer.poll(t_us, tag, r, out, wf, via.ap, resolver.retransmission(st));
       const AttemptEnd end = resolver.finish(ts, st, out, done_us);
       if (end.delivered_after > 0) {
         res.stats.retry_histogram.record(end.delivered_after);
@@ -752,8 +748,8 @@ void NetworkCoordinator::fold_shard(const RunPlan& plan, std::size_t si,
     ts.tag_id = tag;
     ts.wifi_channel = ch.wifi_channel;
     ts.helper = link.helper;
-    ts.ap = link.ap;
-    ts.snr_db = link.snr_db - ch.leakage_noise_rise_db;
+    ts.ap = link.primary.ap;
+    ts.snr_db = link.primary.snr_db - ch.leakage_noise_rise_db;
     ts.reply_per = link.reply_per;
     ts.rate_downshifts = state[i].fallback.downshifts();
     ts.rate_upshifts = state[i].fallback.upshifts();
@@ -869,7 +865,7 @@ std::vector<SpotCheckResult> NetworkCoordinator::spot_check_waveform(
     // Compare against the budget PER at the raw link SNR: the waveform path
     // has no cross-channel aggressors, so leakage is excluded on both sides.
     const double per = link_per(mac::waveform_for_rate(cfg_.rate),
-                                link.snr_db, cfg_.payload_bytes);
+                                link.primary.snr_db, cfg_.payload_bytes);
 
     SpotCheckResult r;
     r.budget_per = per;

@@ -150,32 +150,38 @@ struct NetworkConfig {
   bool keep_per_tag = true;
 };
 
-/// Precomputed per-tag link state (pure function of config + topology).
-struct TagLink {
-  std::uint32_t helper = 0;  ///< nearest BLE helper
-  std::uint32_t ap = 0;      ///< nearest AP (receives this group's replies)
-  /// Budget declared the link dead (channel::backscatter_rssi guard):
-  /// polls resolve to PollOutcome::kLinkDown without drawing.
-  bool link_down = false;
-  Real helper_distance_m = 0.0;
-  Real ap_distance_m = 0.0;
-  Real reply_rssi_dbm = 0.0;  ///< budget-level reply RSSI at the AP
-  Real snr_db = 0.0;          ///< reply SNR before leakage noise rise
-  Real downlink_miss_prob = 0.0;
-  Real reply_per = 0.0;       ///< PER at the leakage-degraded SNR
+/// One AP's end of a tag's link: who serves the tag and how well. A tag
+/// keeps two, its nearest AP and the failover AP, filled by the same code.
+struct ApLink {
+  std::uint32_t ap = 0;
+  Real snr_db = itb::channel::kLinkDownDb;  ///< before leakage noise rise
+  Real downlink_miss_prob = 1.0;
   /// PER per fallback rung at the leakage-degraded SNR and the effective
   /// wire size (ARQ fragment framing included when enabled). Indexed by
   /// mac::LinkWaveform; [waveform_for_rate(cfg.rate)] is the rung polls
   /// start at. Rungs the fallback ladder cannot reach (outside
   /// [initial, mac::lowest_reachable()]) hold 1.0 and are never read.
   std::array<Real, mac::kNumLinkWaveforms> waveform_per{};
-  // --- AP failover (next-nearest AP, used when the primary is down) ----
+};
+
+/// Precomputed per-tag link state (pure function of config + topology).
+struct TagLink {
+  std::uint32_t helper = 0;  ///< nearest BLE helper
+  /// Budget declared the link dead (channel::backscatter_rssi guard):
+  /// polls resolve to PollOutcome::kLinkDown without drawing.
+  bool link_down = false;
+  /// `failover` is live: cfg.ap_failover is on and its budget holds.
   bool has_failover = false;
-  std::uint32_t failover_ap = 0;
-  Real failover_snr_db = itb::channel::kLinkDownDb;
-  Real failover_downlink_miss_prob = 1.0;
-  /// As waveform_per, on the failover link (all 1.0 without one).
-  std::array<Real, mac::kNumLinkWaveforms> failover_waveform_per{};
+  Real helper_distance_m = 0.0;
+  Real ap_distance_m = 0.0;   ///< to the primary AP
+  Real reply_rssi_dbm = 0.0;  ///< budget-level reply RSSI at the primary AP
+  Real reply_per = 0.0;       ///< PER at the leakage-degraded SNR
+  /// The nearest AP, which receives this group's replies.
+  ApLink primary;
+  /// The next-nearest AP, serving while the primary is down (same FDMA
+  /// group, so the TDMA schedule never changes). Read only when
+  /// has_failover; without one its PER table stays all 1.0.
+  ApLink failover;
 };
 
 // --- FDMA group map ----------------------------------------------------------
@@ -228,9 +234,10 @@ std::vector<ChannelStats> plan_channels(const NetworkConfig& cfg,
                                         std::size_t num_tags,
                                         const std::vector<GroupLoad>& load);
 
-/// Stage 4: `links` with reply_per and the reachable rungs of
-/// waveform_per / failover_waveform_per filled in at the leakage-degraded
-/// SNR. `wire_bytes` is the size of one attempt on the air.
+/// Stage 4: `links` with reply_per and the reachable rungs of both
+/// ApLinks' waveform_per filled in at the leakage-degraded SNR (a tag
+/// without a live failover keeps an all-1.0 failover table). `wire_bytes`
+/// is the size of one attempt on the air.
 std::vector<TagLink> tag_pers(const NetworkConfig& cfg, std::size_t wire_bytes,
                               const std::vector<ChannelStats>& channels,
                               std::vector<TagLink> links);

@@ -21,6 +21,13 @@ DsssReceiver::DsssReceiver(const DsssRxConfig& cfg) : cfg_(cfg) {}
 
 namespace {
 
+/// Minimum normalized Barker correlation to declare chip lock (0..1).
+constexpr Real kAcquisitionThreshold = 0.5;
+/// Maximum bits of SYNC to scan for the SFD before giving up.
+constexpr std::size_t kMaxSyncSearchBits = 400;
+/// Nominal chip rate, used only to report cfo_est_hz in Hz.
+constexpr Real kChipRateHz = 11e6;
+
 /// The Barker sequence as a complex correlation pattern (+/-1, zero phase).
 CVec barker_pattern() {
   CVec p(kBarker.size());
@@ -51,8 +58,8 @@ std::optional<DsssRxResult> DsssReceiver::receive(const CVec& samples) const {
 
   // --- 2. Chip-timing acquisition over the 11 possible alignments ----------
   // One sliding correlation over the probe region yields every
-  // (offset, symbol) Barker metric at once; the correlate API picks the
-  // direct or spectral path by size.
+  // (offset, symbol) Barker metric at once. An 11-chip pattern is below the
+  // spectral crossover (K < 32), so this is always the direct path.
   const std::size_t probe_symbols = 16;
   const std::size_t probe_len =
       std::min(chips.size(), (probe_symbols + 1) * kBarker.size());
@@ -79,7 +86,7 @@ std::optional<DsssRxResult> DsssReceiver::receive(const CVec& samples) const {
   const Real input_rms = itb::dsp::rms(std::span<const Complex>(chips).first(
       std::min<std::size_t>(chips.size(), probe_symbols * kBarker.size())));
   if (input_rms <= 0.0 ||
-      per_symbol < cfg_.acquisition_threshold * input_rms *
+      per_symbol < kAcquisitionThreshold * input_rms *
                        static_cast<Real>(kBarker.size())) {
     return std::nullopt;
   }
@@ -89,27 +96,25 @@ std::optional<DsssRxResult> DsssReceiver::receive(const CVec& samples) const {
   // alignments; when a neighbour's metric is within 10% of the winner, break
   // the near-tie by despread-domain energy (the quantity the demodulator
   // actually consumes).
-  if (cfg_.refine_timing) {
-    const auto despread_energy = [&](std::size_t off) -> Real {
-      const std::size_t n =
-          std::min(probe_symbols, (chips.size() - off) / kBarker.size());
-      if (n == 0) return -1.0;
-      const CVec syms = despread(std::span<const Complex>(chips).subspan(
-          off, n * kBarker.size()));
-      Real acc = 0.0;
-      for (const Complex& s : syms) acc += std::norm(s);
-      return acc / static_cast<Real>(n);
-    };
-    Real best_energy = despread_energy(best_off);
-    for (const std::size_t cand :
-         {(best_off + kBarker.size() - 1) % kBarker.size(),
-          (best_off + 1) % kBarker.size()}) {
-      if (offset_metric[cand] < 0.9 * best_metric) continue;
-      const Real e = despread_energy(cand);
-      if (e > best_energy) {
-        best_energy = e;
-        best_off = cand;
-      }
+  const auto despread_energy = [&](std::size_t off) -> Real {
+    const std::size_t n =
+        std::min(probe_symbols, (chips.size() - off) / kBarker.size());
+    if (n == 0) return -1.0;
+    const CVec syms = despread(std::span<const Complex>(chips).subspan(
+        off, n * kBarker.size()));
+    Real acc = 0.0;
+    for (const Complex& s : syms) acc += std::norm(s);
+    return acc / static_cast<Real>(n);
+  };
+  Real best_energy = despread_energy(best_off);
+  for (const std::size_t cand :
+       {(best_off + kBarker.size() - 1) % kBarker.size(),
+        (best_off + 1) % kBarker.size()}) {
+    if (offset_metric[cand] < 0.9 * best_metric) continue;
+    const Real e = despread_energy(cand);
+    if (e > best_energy) {
+      best_energy = e;
+      best_off = cand;
     }
   }
 
@@ -138,8 +143,7 @@ std::optional<DsssRxResult> DsssReceiver::receive(const CVec& samples) const {
           chips[i] *= Complex{std::cos(phase), std::sin(phase)};
           phase -= phi_chip;
         }
-        cfo_est_hz =
-            phi_chip * cfg_.chip_rate_hz / itb::dsp::kTwoPi;
+        cfo_est_hz = phi_chip * kChipRateHz / itb::dsp::kTwoPi;
       }
     }
   }
@@ -147,7 +151,7 @@ std::optional<DsssRxResult> DsssReceiver::receive(const CVec& samples) const {
   // --- 3. Despread the preamble region and find the SFD --------------------
   const std::size_t avail_symbols = (chips.size() - best_off) / kBarker.size();
   const std::size_t search_symbols =
-      std::min(avail_symbols, cfg_.max_sync_search_bits);
+      std::min(avail_symbols, kMaxSyncSearchBits);
   CVec pre_symbols = despread(std::span<const Complex>(chips).subspan(
       best_off, search_symbols * kBarker.size()));
 

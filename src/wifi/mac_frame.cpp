@@ -37,7 +37,10 @@ std::uint16_t get_u16(const Bytes& in, std::size_t at) {
 }  // namespace
 
 Bytes serialize(const MacFrame& frame) {
+  // Reserved up front: GCC 12 at -O3 with _GLIBCXX_ASSERTIONS flags the
+  // address inserts into a two-push_back vector as a memcpy overflow.
   Bytes out;
+  out.reserve(kDataHeaderBytes + frame.body.size() + kFcsBytes);
   put_u16(out, frame_control(frame.type));
   put_u16(out, frame.duration_us);
   out.insert(out.end(), frame.addr1.begin(), frame.addr1.end());

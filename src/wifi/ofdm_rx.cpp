@@ -15,6 +15,15 @@ namespace itb::wifi {
 using itb::dsp::Complex;
 using itb::dsp::Real;
 
+namespace {
+
+/// Normalized LTF correlation needed to declare a frame (0..1).
+constexpr Real kDetectionThreshold = 0.55;
+/// Nominal sample rate, used only to report cfo_est_hz in Hz.
+constexpr Real kSampleRateHz = 20e6;
+
+}  // namespace
+
 OfdmReceiver::OfdmReceiver(const OfdmRxConfig& cfg) : cfg_(cfg) {}
 
 std::optional<OfdmRxResult> OfdmReceiver::receive(const CVec& samples) const {
@@ -35,7 +44,7 @@ std::optional<OfdmRxResult> OfdmReceiver::receive(const CVec& samples) const {
     }
   }
   const Real norm = itb::dsp::normalized_peak(samples, ltf_period, best);
-  if (norm < cfg_.detection_threshold) return std::nullopt;
+  if (norm < kDetectionThreshold) return std::nullopt;
 
   // `best` points at the first full LTF period; frame starts 160+32 earlier.
   if (best < 192) return std::nullopt;
@@ -69,7 +78,7 @@ std::optional<OfdmRxResult> OfdmReceiver::receive(const CVec& samples) const {
         const Real ambiguity = 1.0 / 64.0;
         f += ambiguity * std::round((*coarse - f) / ambiguity);
       }
-      out.cfo_est_hz = f * cfg_.sample_rate_hz;
+      out.cfo_est_hz = f * kSampleRateHz;
       corrected.resize(samples.size());
       Real phase = 0.0;
       const Real step = -itb::dsp::kTwoPi * f;

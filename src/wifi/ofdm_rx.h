@@ -20,14 +20,12 @@ struct OfdmRxResult {
   bool signal_ok = false;
   itb::dsp::Real rssi_dbm = 0.0;
   std::size_t frame_start = 0;      ///< sample index of the STF start
-  /// Carrier offset estimated from the preamble (Hz at `sample_rate_hz`),
+  /// Carrier offset estimated from the preamble (Hz at 20 Msps),
   /// already corrected before demodulation. 0 when correction is disabled.
   itb::dsp::Real cfo_est_hz = 0.0;
 };
 
 struct OfdmRxConfig {
-  /// Normalized LTF correlation needed to declare a frame (0..1).
-  itb::dsp::Real detection_threshold = 0.55;
   /// Two-stage preamble CFO synchronization: coarse from the STF's 16-sample
   /// periodicity (unambiguous to +-625 kHz at 20 Msps), fine from the LTF's
   /// 64-sample periodicity (+-156 kHz), combined by integer-ambiguity
@@ -35,8 +33,6 @@ struct OfdmRxConfig {
   /// 2.4 GHz), which is a third of a subcarrier spacing — fatal ICI if left
   /// uncorrected.
   bool enable_cfo_correction = true;
-  /// Nominal sample rate, used only to report cfo_est_hz in Hz.
-  itb::dsp::Real sample_rate_hz = 20e6;
 };
 
 class OfdmReceiver {

@@ -454,7 +454,8 @@ TEST(NetworkImpaired, PresetDegradesLinksDeterministically) {
   const sim::NetworkCoordinator dirty(impaired);
   // Every link's SNR is degraded, never improved.
   for (std::size_t t = 0; t < clean.links().size(); ++t) {
-    EXPECT_LE(dirty.links()[t].snr_db, clean.links()[t].snr_db + 1e-12);
+    EXPECT_LE(dirty.links()[t].primary.snr_db,
+              clean.links()[t].primary.snr_db + 1e-12);
     EXPECT_GE(dirty.links()[t].reply_per, clean.links()[t].reply_per - 1e-12);
   }
   // And the run stays thread-count invariant.

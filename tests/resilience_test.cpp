@@ -57,6 +57,74 @@ TEST(Faults, TimelineQueriesAreIntervalExact) {
   EXPECT_DOUBLE_EQ(tl.channel_busy_boost(1, 500.0), 0.0);
 }
 
+TEST(Faults, CompiledTableKeepsEachIntervalOnItsRow) {
+  const std::vector<unsigned> channels = {1, 6, 11};
+  const double nan = std::nan("");
+  FaultSchedule sched;
+  // Out of schedule order on one tag, and one on the last tag id (the last
+  // row of the table).
+  sched.brownout(1, 300.0, 50.0)
+      .brownout(1, 100.0, 50.0)
+      .brownout(1, 200.0, 50.0)
+      .brownout(4, 10.0, 5.0);
+  // Two bursts starting together on channel 6, and touching bursts on 11.
+  sched.interference(6, 500.0, 100.0, 20.0)
+      .interference(6, 500.0, 50.0, 0.1)
+      .interference(11, 700.0, 100.0, 5.0)
+      .interference(11, 800.0, 100.0, 7.0);
+  sched.ap_outage(0, 100.0, 50.0).ap_outage(0, 150.0, 50.0);
+  // Ignored: AP and tag ids past the fleet, a channel outside the plan.
+  sched.ap_outage(2, 0.0, 1e9)
+      .brownout(5, 0.0, 1e9)
+      .interference(3, 0.0, 1e9, 30.0);
+  // Skipped: zero and NaN durations.
+  sched.brownout(0, 10.0, 0.0)
+      .brownout(0, 10.0, nan)
+      .ap_outage(1, 10.0, 0.0)
+      .snr_slump(10.0, nan, 6.0);
+  const FaultTimeline tl(sched, /*num_aps=*/2, channels, /*num_tags=*/5);
+  ASSERT_TRUE(tl.any());
+
+  for (const double t : {100.0, 149.0, 200.0, 249.0, 300.0, 349.0}) {
+    EXPECT_TRUE(tl.tag_browned_out(1, t)) << t;
+  }
+  for (const double t : {99.0, 150.0, 250.0, 350.0}) {
+    EXPECT_FALSE(tl.tag_browned_out(1, t)) << t;
+  }
+  EXPECT_TRUE(tl.tag_browned_out(4, 12.0));
+  EXPECT_FALSE(tl.tag_browned_out(4, 15.0));
+  EXPECT_FALSE(tl.tag_browned_out(3, 12.0));
+
+  EXPECT_EQ(tl.channel_noise_rise_db(1, 520.0), 20.0 + 0.1);
+  EXPECT_EQ(tl.channel_noise_rise_db(1, 550.0), 20.0);
+  EXPECT_EQ(tl.channel_busy_boost(1, 520.0),
+            1.0 - std::exp(-(20.0 + 0.1) / 10.0));
+  EXPECT_EQ(tl.channel_noise_rise_db(2, 799.0), 5.0);
+  EXPECT_EQ(tl.channel_noise_rise_db(2, 800.0), 7.0);  // half-open: 5 ended
+  EXPECT_EQ(tl.channel_noise_rise_db(2, 900.0), 0.0);
+  EXPECT_TRUE(tl.ap_down(0, 149.0));
+  EXPECT_TRUE(tl.ap_down(0, 150.0));
+  EXPECT_TRUE(tl.ap_down(0, 199.0));
+  EXPECT_FALSE(tl.ap_down(0, 200.0));
+
+  EXPECT_FALSE(tl.ap_down(2, 50.0));
+  EXPECT_FALSE(tl.tag_browned_out(5, 50.0));
+  EXPECT_EQ(tl.channel_noise_rise_db(0, 50.0), 0.0);
+  EXPECT_EQ(tl.channel_noise_rise_db(3, 50.0), 0.0);  // group past the plan
+  EXPECT_EQ(tl.channel_busy_boost(3, 520.0), 0.0);
+
+  EXPECT_FALSE(tl.tag_browned_out(0, 10.0));
+  EXPECT_FALSE(tl.ap_down(1, 10.0));
+  EXPECT_EQ(tl.channel_noise_rise_db(0, 10.0), 0.0);
+
+  // A schedule whose every event is skipped or ignored compiles to nothing.
+  FaultSchedule idle;
+  idle.brownout(0, 10.0, nan)
+      .ap_outage(9, 0.0, 1.0)
+      .interference(3, 0.0, 1.0, 9.0);
+  EXPECT_FALSE(FaultTimeline(idle, 2, channels, 5).any());
+}
+
 TEST(Faults, GeneratedScheduleIsSeedDeterministic) {
   FaultProfile profile;
   profile.horizon_us = 10e6;
@@ -277,9 +345,9 @@ TEST(Resilience, GoldenApOutageFailoverRecoveryTimeline) {
   // target the outage at exactly that primary.
   cfg.ap_failover = true;
   const NetworkCoordinator probe(cfg);
-  const std::uint32_t primary = probe.links()[0].ap;
+  const std::uint32_t primary = probe.links()[0].primary.ap;
   ASSERT_TRUE(probe.links()[0].has_failover);
-  const std::uint32_t backup = probe.links()[0].failover_ap;
+  const std::uint32_t backup = probe.links()[0].failover.ap;
   ASSERT_NE(primary, backup);
 
   // Tag 0 polls at r * round_us with round_us = 2 * 20160 us; the window

@@ -280,23 +280,41 @@ TEST(BuildStages, LinksArePureAndLeavePerToStageFour) {
   for (std::size_t t = 0; t < links.size(); ++t) {
     for (const TagLink* other : {&net.links()[t], &wide_links[t]}) {
       EXPECT_EQ(links[t].helper, other->helper);
-      EXPECT_EQ(links[t].ap, other->ap);
-      EXPECT_EQ(links[t].snr_db, other->snr_db);
+      EXPECT_EQ(links[t].primary.ap, other->primary.ap);
+      EXPECT_EQ(links[t].primary.snr_db, other->primary.snr_db);
       EXPECT_EQ(links[t].reply_rssi_dbm, other->reply_rssi_dbm);
-      EXPECT_EQ(links[t].downlink_miss_prob, other->downlink_miss_prob);
+      EXPECT_EQ(links[t].primary.downlink_miss_prob,
+                other->primary.downlink_miss_prob);
       EXPECT_EQ(links[t].has_failover, other->has_failover);
-      EXPECT_EQ(links[t].failover_ap, other->failover_ap);
-      EXPECT_EQ(links[t].failover_snr_db, other->failover_snr_db);
+      EXPECT_EQ(links[t].failover.ap, other->failover.ap);
+      EXPECT_EQ(links[t].failover.snr_db, other->failover.snr_db);
     }
     EXPECT_GE(links[t].ap_distance_m, 0.05);
     if (links[t].has_failover) {
       ++failovers;
-      EXPECT_NE(links[t].failover_ap, links[t].ap);
+      EXPECT_NE(links[t].failover.ap, links[t].primary.ap);
     }
     EXPECT_EQ(links[t].reply_per, 0.0);
-    for (const double per : links[t].waveform_per) EXPECT_EQ(per, 0.0);
+    for (const double per : links[t].primary.waveform_per) EXPECT_EQ(per, 0.0);
   }
   EXPECT_GT(failovers, 0u);
+
+  // A tag without a live failover keeps an all-1.0 failover PER table
+  // after stage 4: failover off, or on with no second AP to fail over to.
+  NetworkConfig off = cfg;
+  off.ap_failover = false;
+  NetworkConfig lone = cfg;
+  lone.topology.num_aps = 1;
+  std::size_t without = 0;
+  for (const NetworkConfig& c : {cfg, off, lone}) {
+    const NetworkCoordinator coord(c);
+    for (const TagLink& l : coord.links()) {
+      if (l.has_failover) continue;
+      ++without;
+      for (const double per : l.failover.waveform_per) EXPECT_EQ(per, 1.0);
+    }
+  }
+  EXPECT_GE(without, 2 * links.size());
 }
 
 TEST(BuildStages, GroupLoadSumsEachGroupInTagOrder) {
@@ -304,7 +322,7 @@ TEST(BuildStages, GroupLoadSumsEachGroupInTagOrder) {
   std::vector<TagLink> links(5);
   for (std::size_t t = 0; t < links.size(); ++t) {
     links[t].reply_rssi_dbm = -60.0 - static_cast<double>(t);
-    links[t].downlink_miss_prob = 0.1 * static_cast<double>(t);
+    links[t].primary.downlink_miss_prob = 0.1 * static_cast<double>(t);
   }
   cfg.wifi_channels = {1, 6};  // groups {0, 2, 4} and {1, 3}
   const std::vector<GroupLoad> load = group_load(cfg, links);
@@ -322,8 +340,8 @@ TEST(BuildStages, GroupLoadSumsEachGroupInTagOrder) {
     double tags = 0.0;
     for (std::size_t t = g; t < links.size(); t += 2) {
       watts += dsp::dbm_to_watts(links[t].reply_rssi_dbm);
-      transmit +=
-          (1.0 - links[t].downlink_miss_prob) * (base.p_clean + base.p_collision);
+      transmit += (1.0 - links[t].primary.downlink_miss_prob) *
+                  (base.p_clean + base.p_collision);
       tags += 1.0;
     }
     EXPECT_EQ(load[g].mean_reply_watts, watts / tags);
@@ -412,15 +430,16 @@ TEST(BuildStages, PerTableHoldsOnlyReachableRungs) {
         for (std::size_t w = 0; w < mac::kNumLinkWaveforms; ++w) {
           const auto wf = static_cast<mac::LinkWaveform>(w);
           const bool reachable = w >= first && w <= last;
-          EXPECT_EQ(l.waveform_per[w],
-                    reachable ? link_per(wf, l.snr_db - rise, wire) : 1.0);
-          EXPECT_EQ(l.failover_waveform_per[w],
+          EXPECT_EQ(l.primary.waveform_per[w],
+                    reachable ? link_per(wf, l.primary.snr_db - rise, wire)
+                              : 1.0);
+          EXPECT_EQ(l.failover.waveform_per[w],
                     reachable && l.has_failover
-                        ? link_per(wf, l.failover_snr_db - rise, wire)
+                        ? link_per(wf, l.failover.snr_db - rise, wire)
                         : 1.0);
         }
-        EXPECT_EQ(l.reply_per,
-                  link_per(initial, l.snr_db - rise, cfg.payload_bytes));
+        EXPECT_EQ(l.reply_per, link_per(initial, l.primary.snr_db - rise,
+                                        cfg.payload_bytes));
       }
     }
   }
@@ -429,9 +448,10 @@ TEST(BuildStages, PerTableHoldsOnlyReachableRungs) {
       tag_pers(net.config(), net.wire_bytes(), channels, bare);
   for (std::size_t t = 0; t < staged.size(); ++t) {
     EXPECT_EQ(staged[t].reply_per, net.links()[t].reply_per);
-    EXPECT_EQ(staged[t].waveform_per, net.links()[t].waveform_per);
-    EXPECT_EQ(staged[t].failover_waveform_per,
-              net.links()[t].failover_waveform_per);
+    EXPECT_EQ(staged[t].primary.waveform_per,
+              net.links()[t].primary.waveform_per);
+    EXPECT_EQ(staged[t].failover.waveform_per,
+              net.links()[t].failover.waveform_per);
   }
 }
 
