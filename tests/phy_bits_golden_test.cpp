@@ -18,6 +18,12 @@
 #include <string>
 #include <vector>
 
+#include "backscatter/detector.h"
+#include "backscatter/ic_power.h"
+#include "backscatter/tag.h"
+#include "ble/gfsk.h"
+#include "ble/packet.h"
+#include "ble/single_tone.h"
 #include "channel/awgn.h"
 #include "channel/impairments.h"
 #include "core/interscatter.h"
@@ -27,6 +33,11 @@
 #include "dsp/ola.h"
 #include "dsp/resample.h"
 #include "dsp/rng.h"
+#include "dsp/spectrum.h"
+#include "dsp/units.h"
+#include "mac/dcf.h"
+#include "mac/reservation.h"
+#include "wifi/am_downlink.h"
 #include "wifi/barker.h"
 #include "wifi/cck.h"
 #include "zigbee/oqpsk.h"
@@ -37,6 +48,7 @@ namespace {
 using dsp::Complex;
 using dsp::CVec;
 using dsp::Real;
+using phy::Bits;
 
 /// FNV-1a 64 over the object representation of `v` (doubles bit-exact).
 template <typename T>
@@ -256,6 +268,170 @@ TEST(PhyBitsGolden, PerVsSnrPoint) {
   ASSERT_EQ(p11.size(), 1u);
   EXPECT_EQ(p11[0].per_monte_carlo, 0x1.8p-1) << std::hexfloat
                                             << p11[0].per_monte_carlo;
+}
+
+// --- Model constants --------------------------------------------------------
+// The paths below read values the paper fixes (IC block powers, 802.11g DCF
+// timing, LE 1M GFSK, detector time constants, BLE addresses, AM downlink
+// fill). These pins hold their outputs while those values are constants.
+
+Bits pseudo_random_bits(std::size_t n, std::uint64_t seed) {
+  dsp::Xoshiro256 rng(dsp::splitmix64(seed));
+  Bits out(n);
+  for (auto& b : out) b = rng.bit() ? 1 : 0;
+  return out;
+}
+
+// The DCF loop draws backoffs and burst gaps from the seeded stream; the
+// burst gaps and the rate ladder go through libm log and abs only.
+TEST(PhyBitsGolden, SimulateDcf) {
+  std::vector<Real> out;
+  for (const bool dsb : {false, true}) {
+    mac::InterfererConfig tag;
+    tag.packets_per_second = 650.0;
+    tag.on_victim_channel = dsb;
+    const mac::DcfResult r = mac::simulate_dcf(mac::DcfConfig{}, tag, 0.5, 7);
+    out.insert(out.end(), {r.throughput_mbps, r.collision_rate,
+                           r.airtime_busy_fraction,
+                           static_cast<Real>(r.frames_ok),
+                           static_cast<Real>(r.frames_lost)});
+  }
+  EXPECT_DIGEST(0x18e9685142cf5209ULL, fnv64(out));
+}
+
+// Gaussian taps (libm exp) and the phase accumulator (libm cos/sin); the
+// discriminator goes through std::arg.
+TEST(PhyBitsGolden, GfskModulateDemodulate) {
+  const Bits bits = pseudo_random_bits(200, 120);
+  const CVec tx = ble::GfskModulator().modulate(bits);
+  ASSERT_EQ(tx.size(), 200u * 8u);
+  EXPECT_DIGEST(0x0bab858bca6627f9ULL, fnv64(tx));
+  CVec rx = tx;
+  const CVec noise = gaussian_cvec(rx.size(), 121);
+  for (std::size_t i = 0; i < rx.size(); ++i) rx[i] += 0.3 * noise[i];
+  const ble::GfskDemodulator demod;
+  EXPECT_DIGEST(0x8e6bcf72e25b4b48ULL, fnv64(demod.instantaneous_frequency_hz(rx)));
+  EXPECT_DIGEST(0x063f009167a0c794ULL, fnv64(demod.demodulate(rx)));
+}
+
+// A -40 dBm GFSK burst between silences, over noise near the -55 dBm
+// sensitivity floor. The RC coefficient and the dBm thresholds run libm exp,
+// pow and sqrt.
+TEST(PhyBitsGolden, EnvelopeDetector) {
+  const CVec burst = ble::GfskModulator().modulate(pseudo_random_bits(100, 122));
+  CVec signal(1000, Complex{0.0, 0.0});
+  signal.insert(signal.end(), burst.begin(), burst.end());
+  signal.insert(signal.end(), 1000, Complex{0.0, 0.0});
+  const Real amp = std::sqrt(dsp::dbm_to_watts(-40.0));
+  const Real noise_amp = std::sqrt(dsp::dbm_to_watts(-56.0));
+  const CVec noise = gaussian_cvec(signal.size(), 123);
+  for (std::size_t i = 0; i < signal.size(); ++i) {
+    signal[i] = signal[i] * amp + noise[i] * noise_amp;
+  }
+  backscatter::EnvelopeDetectorConfig cfg;
+  cfg.sample_rate_hz = 8e6;
+  const backscatter::EnvelopeDetector det(cfg);
+  EXPECT_DIGEST(0x0e23d6d2f5f15bdbULL, fnv64(det.envelope(signal)));
+  EXPECT_EQ(det.first_trigger(signal), 1011u);
+  const auto start =
+      backscatter::InterscatterTag().detect_payload_start(signal, 8e6);
+  ASSERT_TRUE(start.has_value());
+  EXPECT_EQ(*start, 0x1.d4cp+7) << std::hexfloat << *start;
+}
+
+// The AM downlink frame (OFDM IFFT twiddles are libm) and the peak
+// detector's envelope and paired decision on it, with noise.
+TEST(PhyBitsGolden, AmDownlinkPeakDetector) {
+  wifi::AmDownlinkEncoder enc(wifi::AmDownlinkConfig{}, 9);
+  const Bits message = {1, 0, 1, 1, 0, 0, 1, 0, 0, 1};
+  const wifi::AmFrame frame = enc.encode(message);
+  EXPECT_DIGEST(0x21db84875f2cab96ULL, fnv64(frame.tx.baseband));
+  EXPECT_DIGEST(0x9397c24ecee02ec6ULL, fnv64(frame.data_field_bits));
+
+  CVec rx = frame.tx.baseband;
+  const CVec noise = gaussian_cvec(rx.size(), 124);
+  for (std::size_t i = 0; i < rx.size(); ++i) rx[i] += 0.2 * noise[i];
+  backscatter::PeakDetectorConfig pdc;
+  pdc.sensitivity_dbm = -90.0;
+  const backscatter::PeakDetector pd(pdc);
+  EXPECT_DIGEST(0x8b5d3180fccb8f78ULL, fnv64(pd.envelope(rx)));
+  EXPECT_DIGEST(0x4ad0dd4facf7ff68ULL,
+                fnv64(pd.decode_am(rx, 400, wifi::kSymbolSamples,
+                                   message.size())));
+}
+
+// Hann window (libm cos), FFT twiddles and the dB conversion (libm log10).
+TEST(PhyBitsGolden, WelchPsd) {
+  const CVec x = gaussian_cvec(5000, 125);
+  const dsp::Psd psd = dsp::welch_psd(x, 1e6);
+  EXPECT_DIGEST(0x863452f3717f574bULL, fnv64(psd.power_linear));
+  EXPECT_DIGEST(0x13bae8e50994c6e8ULL, fnv64(psd.power_db));
+  dsp::WelchConfig cfg;
+  cfg.segment_size = 256;
+  cfg.overlap = 64;
+  EXPECT_DIGEST(0xc4809044f9f5e917ULL, fnv64(dsp::welch_psd(x, 1e6, cfg).power_linear));
+}
+
+// Integer-only: whitening, CRC-24 and the address fields.
+TEST(PhyBitsGolden, BlePacketBits) {
+  std::vector<std::uint64_t> tone;
+  for (const unsigned ch : {37u, 38u, 39u}) {
+    ble::SingleToneSpec spec;
+    spec.channel_index = ch;
+    spec.sign = ch == 37 ? ble::ToneSign::kLow : ble::ToneSign::kHigh;
+    spec.android_api_constraint = ch == 39;
+    const ble::SingleToneResult r = ble::make_single_tone_packet(spec);
+    tone.insert(tone.end(), {fnv64(r.packet.air_bits), fnv64(r.payload),
+                             r.tone_start_bit, r.tone_end_bit});
+  }
+  EXPECT_DIGEST(0x4fdbdf7d99c8667eULL, fnv64(tone));
+
+  ble::DataPacketConfig data;
+  data.channel_index = 5;
+  for (std::uint8_t i = 0; i < 40; ++i) {
+    data.payload.push_back(static_cast<std::uint8_t>(i * 37 + 11));
+  }
+  const ble::AdvPacket d = ble::build_data_packet(data);
+  EXPECT_DIGEST(0x1b8ca7f9fdc8a34bULL, fnv64(d.air_bits));
+  EXPECT_EQ(d.payload_start_bit, 56u);
+  EXPECT_EQ(d.payload_end_bit, 56u + 40u * 8u);
+}
+
+TEST(PhyBitsGolden, IcPowerModel) {
+  const backscatter::IcPowerModel model;
+  std::vector<Real> out;
+  for (const wifi::DsssRate rate :
+       {wifi::DsssRate::k1Mbps, wifi::DsssRate::k2Mbps,
+        wifi::DsssRate::k5_5Mbps, wifi::DsssRate::k11Mbps}) {
+    for (const Real shift : {35.75e6, -22.75e6, 6e6}) {
+      const backscatter::PowerBreakdown p = model.active_power(rate, shift);
+      out.insert(out.end(),
+                 {p.synthesizer_uw, p.baseband_uw, p.modulator_uw,
+                  model.average_power_uw(rate, shift, 0.013),
+                  model.energy_per_bit_pj(rate, shift)});
+    }
+  }
+  EXPECT_DIGEST(0x30b796d54319ff14ULL, fnv64(out));
+}
+
+// Closed form and Monte Carlo for all four schemes; the RTS scheme's control
+// airtime is the advertising packet duration.
+TEST(PhyBitsGolden, ReservationOutcome) {
+  std::vector<Real> out;
+  for (const mac::ReservationScheme scheme :
+       {mac::ReservationScheme::kNone, mac::ReservationScheme::kCtsToSelf,
+        mac::ReservationScheme::kTagRts, mac::ReservationScheme::kDataAsRts}) {
+    mac::ReservationConfig cfg;
+    cfg.scheme = scheme;
+    cfg.channel_busy_probability = 0.3;
+    const mac::ReservationOutcome o = mac::reservation_outcome(cfg);
+    const mac::ReservationResult r = mac::evaluate_reservation(cfg, 500, 13);
+    out.insert(out.end(),
+               {o.data_slots_per_event, o.p_clean, o.p_collision, o.p_silent,
+                o.control_overhead_us, r.clean_transmissions_per_event,
+                r.collision_fraction, r.control_overhead_us});
+  }
+  EXPECT_DIGEST(0xa01cc0c76175b4aeULL, fnv64(out));
 }
 
 }  // namespace
