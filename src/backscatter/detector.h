@@ -16,14 +16,15 @@ using itb::dsp::CVec;
 using itb::dsp::Real;
 using itb::phy::Bits;
 
+/// Envelope-detector comparator threshold in dBm at the detector input. The
+/// paper customizes this so only transmitters within 8-10 feet trigger
+/// (false-positive rejection).
+inline constexpr Real kEnvelopeThresholdDbm = -45.0;
+
+/// The envelope filter's RC time constant (2 us) is a constant in
+/// detector.cpp.
 struct EnvelopeDetectorConfig {
   Real sample_rate_hz = 8e6;
-  /// RC time constant of the envelope filter.
-  Real tau_s = 2e-6;
-  /// Comparator threshold in dBm at the detector input. The paper customizes
-  /// this so only transmitters within 8-10 feet trigger (false-positive
-  /// rejection).
-  Real threshold_dbm = -45.0;
   /// Detector sensitivity floor: inputs below this read as silence.
   Real sensitivity_dbm = -55.0;
 };
@@ -53,17 +54,11 @@ class EnvelopeDetector {
   EnvelopeDetectorConfig cfg_;
 };
 
+/// The diode-RC time constants and the AM pair-decision ratio are constants
+/// in detector.cpp.
 struct PeakDetectorConfig {
   Real sample_rate_hz = 20e6;
-  Real tau_attack_s = 0.05e-6;  ///< fast charge
-  /// Bleed fast enough that a constant OFDM symbol's leading energy spike
-  /// (the false-peak hazard the paper designs around, §2.4) decays within
-  /// the symbol.
-  Real tau_decay_s = 0.5e-6;
   Real sensitivity_dbm = -32.0; ///< paper: off-the-shelf receiver @160 kbps
-  /// A pair's second symbol reads as "constant" (bit 1) when its envelope
-  /// falls below this fraction of the pair's first (always-random) symbol.
-  Real pair_ratio_threshold = 0.85;
 };
 
 class PeakDetector {

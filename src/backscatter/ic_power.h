@@ -1,9 +1,9 @@
 // IC power model (paper §3): the interscatter ASIC in TSMC 65 nm LP consumes
 // 28 uW while generating 2 Mbps 802.11b — frequency synthesizer 9.69 uW,
 // baseband processor 8.51 uW, backscatter modulator 9.79 uW. This module
-// parameterizes those block figures with first-order CMOS scaling laws
-// (dynamic power ~ activity * C * V^2 * f) so benches can sweep bit rates
-// and shifts, and compares against active-radio alternatives.
+// scales those fixed block figures to other 802.11b rates and shifts with
+// first-order CMOS laws (dynamic power ~ activity * C * V^2 * f), and lists
+// active-radio alternatives for comparison.
 #pragma once
 
 #include <string>
@@ -16,19 +16,6 @@ namespace itb::backscatter {
 
 using itb::dsp::Real;
 
-struct IcPowerConfig {
-  /// Paper-calibrated block powers at the reference point
-  /// (35.75 MHz shift, 2 Mbps baseband, 143 MHz PLL).
-  Real synthesizer_uw_ref = 9.69;
-  Real baseband_uw_ref = 8.51;
-  Real modulator_uw_ref = 9.79;
-  Real ref_shift_hz = 35.75e6;
-  Real ref_bitrate_mbps = 2.0;
-
-  /// Leakage fraction of each block that does not scale with frequency.
-  Real static_fraction = 0.15;
-};
-
 struct PowerBreakdown {
   Real synthesizer_uw;
   Real baseband_uw;
@@ -38,8 +25,6 @@ struct PowerBreakdown {
 
 class IcPowerModel {
  public:
-  explicit IcPowerModel(const IcPowerConfig& cfg = {});
-
   /// Power while backscattering at the given Wi-Fi rate and shift.
   PowerBreakdown active_power(itb::wifi::DsssRate rate, Real shift_hz) const;
 
@@ -50,11 +35,6 @@ class IcPowerModel {
 
   /// Energy per transmitted payload bit (pJ/bit).
   Real energy_per_bit_pj(itb::wifi::DsssRate rate, Real shift_hz) const;
-
-  const IcPowerConfig& config() const { return cfg_; }
-
- private:
-  IcPowerConfig cfg_;
 };
 
 /// Reference power draws of conventional radios for the comparison table

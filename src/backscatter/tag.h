@@ -18,9 +18,11 @@
 
 namespace itb::backscatter {
 
+/// The paper's guard interval between the estimated AdvData start and the
+/// first backscattered sample.
+inline constexpr Real kGuardUs = 4.0;
+
 struct TagConfig {
-  EnvelopeDetectorConfig detector{};
-  Real guard_us = 4.0;            ///< paper's guard interval
   WifiSynthConfig wifi{};
   /// Extra timing error (us) injected on top of detection jitter; models the
   /// no-decode energy-detection uncertainty.
@@ -44,11 +46,12 @@ class InterscatterTag {
   std::optional<TagTransmission> plan(const itb::ble::AdvPacket& ble_packet,
                                       const itb::phy::Bytes& psdu) const;
 
-  /// Detection front-end: runs the envelope detector on incident BLE
-  /// baseband samples and returns the estimated AdvData start time (us), or
-  /// nullopt if no trigger. The default offset is the paper's 56 us of
-  /// preamble + access address + PDU header plus the fixed 48 us AdvA field
-  /// that precedes the application-controlled AdvData.
+  /// Detection front-end: runs a default envelope detector at
+  /// `sample_rate_hz` on incident BLE baseband samples and returns the
+  /// estimated AdvData start time (us), or nullopt if no trigger. The
+  /// default offset is the paper's 56 us of preamble + access address + PDU
+  /// header plus the fixed 48 us AdvA field that precedes the
+  /// application-controlled AdvData.
   std::optional<double> detect_payload_start(
       const CVec& incident, Real sample_rate_hz,
       double header_duration_us = 56.0 + 48.0) const;

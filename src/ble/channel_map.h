@@ -32,6 +32,10 @@ inline itb::dsp::Real wifi_channel_hz(unsigned ch) {
   return 2.407e9 + 5e6 * static_cast<itb::dsp::Real>(ch);
 }
 
+/// True for the channels wifi_channel_hz is defined on (1..13; channel 14
+/// is not on the 5 MHz grid).
+inline bool is_wifi_channel(unsigned ch) { return ch >= 1 && ch <= 13; }
+
 /// ZigBee (802.15.4) 2.4 GHz channel center (11..26): 2405 + 5*(k-11) MHz.
 inline itb::dsp::Real zigbee_channel_hz(unsigned ch) {
   return 2.405e9 + 5e6 * static_cast<itb::dsp::Real>(ch - 11);

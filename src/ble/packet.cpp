@@ -14,6 +14,9 @@ using itb::phy::uint_to_bits_lsb_first;
 
 namespace {
 
+/// Access address of the data-channel connection build_data_packet uses.
+constexpr std::uint32_t kDataAccessAddress = 0x50655D5B;
+
 Bits header_and_payload_bits(AdvPduType type,
                              std::span<const std::uint8_t> adv_address,
                              std::span<const std::uint8_t> payload) {
@@ -37,7 +40,7 @@ AdvPacket build_adv_packet(const AdvPacketConfig& cfg, unsigned channel_index) {
   assert(channel_index < 40);
 
   const Bits pdu_bits = header_and_payload_bits(
-      cfg.pdu_type, cfg.advertiser_address, cfg.payload);
+      cfg.pdu_type, kAdvertiserAddress, cfg.payload);
   const Bits crc_bits = itb::phy::ble_crc24_bits(pdu_bits);
 
   Bits unwhitened = pdu_bits;
@@ -124,7 +127,7 @@ AdvPacket build_data_packet(const DataPacketConfig& cfg) {
   AdvPacket out;
   out.channel_index = cfg.channel_index;
   out.air_bits = bytes_to_bits_lsb_first(std::array<std::uint8_t, 1>{kPreambleByte});
-  const Bits aa_bits = uint_to_bits_lsb_first(cfg.access_address, 32);
+  const Bits aa_bits = uint_to_bits_lsb_first(kDataAccessAddress, 32);
   out.air_bits.insert(out.air_bits.end(), aa_bits.begin(), aa_bits.end());
   const std::size_t pdu_air_start = out.air_bits.size();
   out.air_bits.insert(out.air_bits.end(), whitened.begin(), whitened.end());

@@ -22,6 +22,11 @@ inline constexpr std::size_t kMaxAdvDataBytes = 31;
 /// The Android advertising API exposes only 24 of the 31 AdvData bytes to
 /// applications (paper §2.2 footnote 3).
 inline constexpr std::size_t kAndroidAdvDataBytes = 24;
+/// Air time of a full 47-byte advertising packet at LE 1M (1 bit = 1 us).
+inline constexpr double kAdvPacketUs = 376.0;
+/// AdvA of every advertising packet this library builds.
+inline constexpr std::array<std::uint8_t, 6> kAdvertiserAddress{
+    0xC1, 0xA7, 0x3E, 0x55, 0xAA, 0x01};
 
 /// Advertising PDU types (subset used here).
 enum class AdvPduType : std::uint8_t {
@@ -30,10 +35,10 @@ enum class AdvPduType : std::uint8_t {
   kAdvScanInd = 0x6,
 };
 
-/// Descriptor for an advertising packet before serialization.
+/// Descriptor for an advertising packet before serialization; its AdvA is
+/// kAdvertiserAddress.
 struct AdvPacketConfig {
   AdvPduType pdu_type = AdvPduType::kAdvNonconnInd;
-  std::array<std::uint8_t, 6> advertiser_address{0xC1, 0xA7, 0x3E, 0x55, 0xAA, 0x01};
   Bytes payload;  ///< AdvData, up to kMaxAdvDataBytes.
 };
 
@@ -74,9 +79,9 @@ std::optional<ParsedAdv> parse_adv_packet(const Bits& air_bits,
                                           unsigned channel_index);
 
 /// BLE data-channel packet (future-work extension, paper §7): up to 255 B
-/// payload at LE 1M, giving the tag a ~2 ms backscatter window.
+/// payload at LE 1M, giving the tag a ~2 ms backscatter window. It is sent
+/// on a fixed connection access address.
 struct DataPacketConfig {
-  std::uint32_t access_address = 0x50655D5B;
   Bytes payload;  ///< up to 255 bytes (BT 4.2+ extended length)
   unsigned channel_index = 0;
 };

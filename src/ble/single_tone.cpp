@@ -10,12 +10,11 @@ using itb::phy::BleWhitener;
 using itb::phy::Bits;
 
 Bytes single_tone_payload(unsigned channel_index, ToneSign sign,
-                          std::size_t payload_bytes,
-                          const AdvPacketConfig& base) {
+                          std::size_t payload_bytes) {
   assert(payload_bytes <= kMaxAdvDataBytes);
   // Whitening starts at the PDU header. AdvData begins after header (16 bits)
   // + AdvA (48 bits) = 64 whitened bits.
-  const std::size_t payload_offset_bits = 16 + base.advertiser_address.size() * 8;
+  constexpr std::size_t payload_offset_bits = 16 + kAdvertiserAddress.size() * 8;
   const Bits wseq = BleWhitener::sequence(
       channel_index, payload_offset_bits + payload_bytes * 8);
 
@@ -32,7 +31,7 @@ Bytes single_tone_payload(unsigned channel_index, ToneSign sign,
 SingleToneResult make_single_tone_packet(const SingleToneSpec& spec) {
   SingleToneResult out;
   out.payload = single_tone_payload(spec.channel_index, spec.sign,
-                                    spec.payload_bytes, spec.base);
+                                    spec.payload_bytes);
 
   if (spec.android_api_constraint &&
       out.payload.size() > kAndroidAdvDataBytes) {
@@ -43,7 +42,7 @@ SingleToneResult make_single_tone_packet(const SingleToneSpec& spec) {
     }
   }
 
-  AdvPacketConfig cfg = spec.base;
+  AdvPacketConfig cfg;
   cfg.payload = out.payload;
   out.packet = build_adv_packet(cfg, spec.channel_index);
 

@@ -26,7 +26,6 @@ struct SingleToneSpec {
   /// remaining AdvData bytes keep whatever the stack puts there (modeled as
   /// zeros), shortening the clean tone window.
   bool android_api_constraint = false;
-  AdvPacketConfig base;  ///< PDU type / AdvA used for the packet skeleton
 };
 
 struct SingleToneResult {
@@ -41,13 +40,13 @@ struct SingleToneResult {
 };
 
 /// Computes the AdvData payload whose whitened air bits are constant, builds
-/// the packet, and reports the constant-tone window.
+/// the packet (a default AdvPacketConfig around it), and reports the
+/// constant-tone window.
 SingleToneResult make_single_tone_packet(const SingleToneSpec& spec);
 
 /// Convenience: returns just the payload bytes an application would hand to
 /// the advertising API (e.g. over the Android AdvertiseData interface).
 Bytes single_tone_payload(unsigned channel_index, ToneSign sign,
-                          std::size_t payload_bytes,
-                          const AdvPacketConfig& base = {});
+                          std::size_t payload_bytes);
 
 }  // namespace itb::ble

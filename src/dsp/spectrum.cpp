@@ -3,19 +3,24 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
 
 #include "dsp/fft.h"
 #include "dsp/fft_plan.h"
+#include "dsp/window.h"
 
 namespace itb::dsp {
 
 Psd welch_psd(std::span<const Complex> x, Real sample_rate_hz,
               const WelchConfig& cfg) {
-  assert(cfg.overlap < cfg.segment_size);
+  // A hop of zero would never advance; a larger overlap would wrap it.
+  if (cfg.overlap >= cfg.segment_size) {
+    throw std::invalid_argument("welch_psd: overlap must be < segment_size");
+  }
   const std::size_t seg = cfg.segment_size;
   const std::size_t hop = seg - cfg.overlap;
 
-  const RVec w = make_window(cfg.window, seg);
+  const RVec w = make_window(WindowKind::kHann, seg);
   const Real wpow = window_power(w);
 
   // One cache lookup for the whole run; every segment reuses the tables.

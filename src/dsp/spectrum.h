@@ -8,7 +8,6 @@
 #include <span>
 
 #include "dsp/types.h"
-#include "dsp/window.h"
 
 namespace itb::dsp {
 
@@ -22,13 +21,14 @@ struct Psd {
   Real bin_hz = 0.0;
 };
 
+/// Segments are Hann-windowed.
 struct WelchConfig {
   std::size_t segment_size = 1024;  ///< Must be a power of two.
   std::size_t overlap = 512;        ///< Samples of overlap between segments.
-  WindowKind window = WindowKind::kHann;
 };
 
-/// Welch-averaged PSD of x sampled at sample_rate_hz.
+/// Welch-averaged PSD of x sampled at sample_rate_hz. Throws
+/// std::invalid_argument unless overlap < segment_size.
 Psd welch_psd(std::span<const Complex> x, Real sample_rate_hz,
               const WelchConfig& cfg = {});
 

@@ -9,7 +9,7 @@
 //      CTS-to-Self response reserves the rest of the event.
 #pragma once
 
-#include "ble/advertiser.h"
+#include "ble/packet.h"
 #include "dsp/rng.h"
 #include "dsp/types.h"
 
@@ -26,8 +26,6 @@ enum class ReservationScheme {
 
 struct ReservationConfig {
   ReservationScheme scheme = ReservationScheme::kNone;
-  itb::ble::AdvertiserTiming timing{};
-  Real ble_packet_us = 376.0;  ///< 47-byte advertising packet at 1 Mbps
   /// Probability that the Wi-Fi channel is busy at any instant (ambient load).
   /// Values outside [0, 1] are clamped by the evaluators (NaN -> 0).
   Real channel_busy_probability = 0.3;
@@ -56,7 +54,8 @@ struct ReservationOutcome {
   Real p_collision = 0.0;
   /// Per data slot: tag stayed silent (reservation not granted).
   Real p_silent = 0.0;
-  /// Tag airtime spent on control rather than data, us per event.
+  /// Tag airtime spent on control rather than data, us per event
+  /// (kTagRts: one ble::kAdvPacketUs advertisement).
   Real control_overhead_us = 0.0;
 };
 ReservationOutcome reservation_outcome(const ReservationConfig& cfg);

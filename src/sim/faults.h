@@ -37,10 +37,10 @@ enum class FaultKind : std::uint8_t {
   /// In-band interferer (e.g. microwave oven) on one Wi-Fi channel:
   /// raises the noise floor by magnitude_db and occupies the channel
   /// (CCA busy) for a duty cycle derived from the same magnitude.
-  /// entity = Wi-Fi channel *number* (1..14, as in NetworkConfig).
+  /// entity = Wi-Fi channel *number* (1..13, as in NetworkConfig).
   kInterference = 1,
   /// Tag harvest brownout: the IC's storage cap sags below the logic
-  /// retention voltage (backscatter::IcPowerConfig territory), so the tag
+  /// retention voltage (backscatter::IcPowerModel territory), so the tag
   /// neither decodes queries nor replies. entity = tag id.
   kBrownout = 2,
   /// Transient fleet-wide SNR slump of magnitude_db (e.g. body movement

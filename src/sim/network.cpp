@@ -6,7 +6,9 @@
 #include <stdexcept>
 #include <string>
 
+#include "backscatter/ic_power.h"
 #include "ble/channel_map.h"
+#include "ble/packet.h"
 #include "channel/awgn.h"
 #include "core/interscatter.h"
 #include "core/parallel.h"
@@ -19,10 +21,8 @@ namespace itb::sim {
 
 namespace {
 
-/// 47-byte BLE advertising packet at 1 Mbps; the helper repeats it on the
-/// three advertising channels every interval, illuminating (and powering)
-/// the tags in range.
-constexpr Real kAdvPacketUs = 376.0;
+/// Transmit power of the APs' OFDM-AM downlink queries.
+constexpr Real kApTxPowerDbm = 15.0;
 
 /// CCA energy-detect threshold: leakage below this never makes the victim
 /// channel look busy, it only raises the noise floor.
@@ -313,7 +313,7 @@ std::vector<TagLink> build_links(const NetworkConfig& cfg,
   // Downlink: the AP's OFDM-AM query must clear the tag's peak detector
   // after the tissue loss; below sensitivity the tag never hears it.
   const auto downlink_miss = [&](Real ap_distance_m) {
-    const Real rssi = itb::channel::direct_rssi_dbm(cfg.ap_tx_power_dbm, 2.0,
+    const Real rssi = itb::channel::direct_rssi_dbm(kApTxPowerDbm, 2.0,
                                                     2.0, pl, ap_distance_m) -
                       cfg.tag_medium_loss_db;
     return rssi < cfg.detector_sensitivity_dbm
@@ -495,6 +495,17 @@ NetworkCoordinator::NetworkCoordinator(const NetworkConfig& cfg) : cfg_(cfg) {
   if (cfg_.wifi_channels.empty()) {
     throw std::invalid_argument("NetworkConfig: no Wi-Fi channels");
   }
+  for (const unsigned ch : cfg_.wifi_channels) {
+    if (!itb::ble::is_wifi_channel(ch)) {
+      throw std::invalid_argument("NetworkConfig: Wi-Fi channel " +
+                                  std::to_string(ch) + " is not in 1..13");
+    }
+  }
+  if (cfg_.ble_channel >= itb::ble::ChannelMap::kNumChannels) {
+    throw std::invalid_argument("NetworkConfig: BLE channel " +
+                                std::to_string(cfg_.ble_channel) +
+                                " is not in 0..39");
+  }
   if (cfg_.shard_tags == 0) cfg_.shard_tags = 256;
   cfg_.polling = cfg_.polling.validated();
   cfg_.arq = cfg_.arq.validated();
@@ -539,7 +550,7 @@ RunPlan NetworkCoordinator::plan() const {
   }
   // Attempt energy follows the IC model at the group's SSB shift (it sets
   // the synthesizer power). uW * us = pJ, stored as nJ.
-  const itb::backscatter::IcPowerModel power(cfg_.ic_power);
+  const itb::backscatter::IcPowerModel power;
   const Real ble_hz = itb::ble::ChannelMap::frequency_hz(cfg_.ble_channel);
   p.groups.resize(channels_.size());
   for (std::size_t g = 0; g < channels_.size(); ++g) {
@@ -736,10 +747,11 @@ void NetworkCoordinator::fold_shard(const RunPlan& plan, std::size_t si,
   // The helper advertises every interval for the whole timeline and
   // illuminates all its tags — not just the one being polled — so harvest
   // time is independent of fleet size; the AP's queries add the tag's own
-  // downlink illumination on top.
+  // downlink illumination on top. Each event repeats one advertising
+  // packet on the three advertising channels.
   const double adv_events =
       ch.elapsed_us / (cfg_.polling.advertising_interval_ms * 1e3);
-  const itb::backscatter::IcPowerModel power(cfg_.ic_power);
+  const itb::backscatter::IcPowerModel power;
   for (std::size_t i = 0; i < local.size(); ++i) {
     const std::uint32_t tag =
         group_tag(channels_.size(), sh.group, sh.begin + i);
@@ -753,7 +765,7 @@ void NetworkCoordinator::fold_shard(const RunPlan& plan, std::size_t si,
     ts.reply_per = link.reply_per;
     ts.rate_downshifts = state[i].fallback.downshifts();
     ts.rate_upshifts = state[i].fallback.upshifts();
-    ts.harvest_us = adv_events * 3.0 * kAdvPacketUs +
+    ts.harvest_us = adv_events * 3.0 * itb::ble::kAdvPacketUs +
                     static_cast<double>(ts.queries) * plan.query_us;
     for (const Counter& c : kCounters) res.stats.*c.total += ts.*c.tag;
     res.sums.add(ts, ch.elapsed_us, plan.groups[sh.group].shift_hz, power,
@@ -789,7 +801,7 @@ NetworkStats NetworkCoordinator::reduce(const RunPlan& plan,
     if (!cfg_.keep_per_tag) sums.merge(shards[si].sums);
   }
   if (cfg_.keep_per_tag) {
-    const itb::backscatter::IcPowerModel power(cfg_.ic_power);
+    const itb::backscatter::IcPowerModel power;
     for (const RunPlan::Shard& sh : plan.shards) {
       for (std::size_t s = sh.begin; s < sh.end; ++s) {
         sums.add(per_tag[group_tag(channels_.size(), sh.group, s)],

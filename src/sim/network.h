@@ -72,7 +72,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "backscatter/ic_power.h"
 #include "channel/impairments.h"
 #include "channel/link.h"
 #include "mac/arq.h"
@@ -124,8 +123,6 @@ struct NetworkConfig {
   Real tag_medium_loss_db = 3.0;  ///< implanted: one-way tissue loss
   /// Tag peak-detector sensitivity for the downlink (paper: -32 dBm).
   Real detector_sensitivity_dbm = -32.0;
-  Real ap_tx_power_dbm = 15.0;
-  backscatter::IcPowerConfig ic_power{};
   // --- resilience ------------------------------------------------------
   /// Injected fault events (empty = fault-free). Hand-built via the
   /// FaultSchedule builder or drawn with generate_fault_schedule().

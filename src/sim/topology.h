@@ -47,13 +47,13 @@ struct TopologyConfig {
   std::size_t num_aps = 3;      ///< Wi-Fi access points receiving replies
   /// Grid side length / disk radius / corridor length, meters.
   Real extent_m = 20.0;
-  // --- hospital-ward parameters ---------------------------------------
-  std::size_t beds_per_room = 4;
-  Real room_pitch_m = 6.0;   ///< spacing of rooms along the corridor
-  Real room_depth_m = 5.0;   ///< rooms sit this far off the corridor axis
-  Real bed_scatter_m = 0.5;  ///< tag scatter radius around its bed
   std::uint64_t seed = 1;
 };
+
+/// Hospital ward: spacing of rooms along the corridor. The ward's other
+/// dimensions (4 beds per room, rooms 5 m off the corridor axis, tags within
+/// 0.5 m of their bed) are constants in topology.cpp.
+inline constexpr Real kRoomPitchM = 6.0;
 
 struct Placement {
   std::vector<Vec2> tags;

@@ -14,6 +14,18 @@ using itb::dsp::CVec;
 using itb::dsp::Real;
 using itb::phy::Bits;
 
+namespace {
+
+/// Value every scrambled bit of a constant symbol takes (all-ones stream).
+constexpr std::uint8_t kConstantFill = 1;
+/// Minimum |last time sample| of a random symbol preceding a constant one,
+/// relative to the symbol's RMS (CP-glitch avoidance), and how many draws
+/// the re-roll makes before it keeps the last one.
+constexpr Real kMinTailAmplitudeRatio = 1.0;
+constexpr std::size_t kMaxRerollAttempts = 64;
+
+}  // namespace
+
 AmDownlinkEncoder::AmDownlinkEncoder(const AmDownlinkConfig& cfg,
                                      std::uint64_t rng_seed)
     // The raw seed is kept on purpose: Xoshiro256's constructor already
@@ -31,7 +43,7 @@ Bits AmDownlinkEncoder::constant_symbol_data_bits(std::size_t bit_offset,
   Bits out(n_dbps);
   for (std::size_t i = 0; i < n_dbps; ++i) {
     // scrambled = data XOR seq; we need scrambled == fill everywhere.
-    out[i] = (seq[bit_offset + i] ^ cfg_.constant_fill) & 1;
+    out[i] = (seq[bit_offset + i] ^ kConstantFill) & 1;
   }
   return out;
 }
@@ -80,22 +92,17 @@ AmFrame AmDownlinkEncoder::encode(const Bits& message_bits) {
 
     // Random symbol. SERVICE bits (first 16 of symbol 0) stay zero.
     const std::size_t rand_start = s == 0 ? 16 : 0;
-    for (std::size_t attempt = 0; attempt < cfg_.max_reroll_attempts; ++attempt) {
+    for (std::size_t attempt = 0; attempt < kMaxRerollAttempts; ++attempt) {
       for (std::size_t i = rand_start; i < n_dbps; ++i) {
         data[off + i] = rng_.bit() ? 1 : 0;
       }
+      if (!needs_bright_tail(s)) break;
       // Constraint 2: force the last 6 *scrambled* bits to the fill value
       // when the next symbol is constant, so the convolutional encoder's
       // memory enters it in the right state.
-      if (needs_bright_tail(s)) {
-        for (std::size_t i = n_dbps - 6; i < n_dbps; ++i) {
-          data[off + i] = (scramble_seq[off + i] ^ cfg_.constant_fill) & 1;
-        }
-      } else if (!needs_bright_tail(s)) {
-        // No tail constraint.
+      for (std::size_t i = n_dbps - 6; i < n_dbps; ++i) {
+        data[off + i] = (scramble_seq[off + i] ^ kConstantFill) & 1;
       }
-
-      if (!needs_bright_tail(s)) break;
 
       // Constraint 3: check the last time-domain sample amplitude of this
       // symbol; re-roll until bright enough that the constant symbol's CP
@@ -107,7 +114,7 @@ AmFrame AmDownlinkEncoder::encode(const Bits& message_bits) {
           r.baseband.data() + sym_start, kSymbolSamples);
       const Real tail = std::abs(sym[kSymbolSamples - 1]);
       const Real avg = itb::dsp::rms(sym);
-      if (tail >= cfg_.min_tail_amplitude_ratio * avg) break;
+      if (tail >= kMinTailAmplitudeRatio * avg) break;
     }
   }
 

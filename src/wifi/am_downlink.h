@@ -26,14 +26,11 @@
 
 namespace itb::wifi {
 
+/// Constant symbols scramble to an all-ones stream; the tail-amplitude
+/// re-roll rule (constraint 3) is a constant in am_downlink.cpp.
 struct AmDownlinkConfig {
   OfdmRate rate = OfdmRate::k36;       ///< paper uses 36 Mbps (16-QAM 3/4)
   std::uint8_t scrambler_seed = 0x5D;  ///< must match the chipset's next seed
-  std::uint8_t constant_fill = 1;      ///< 1 -> all-ones coded stream
-  /// Minimum |last time sample| of a random symbol preceding a constant one,
-  /// relative to the symbol's RMS (CP-glitch avoidance).
-  itb::dsp::Real min_tail_amplitude_ratio = 1.0;
-  std::size_t max_reroll_attempts = 64;
 };
 
 struct AmFrame {
@@ -41,7 +38,6 @@ struct AmFrame {
   itb::phy::Bits message_bits;     ///< the downlink bits carried
   itb::phy::Bits data_field_bits;  ///< unscrambled DATA bits handed to the TX
   std::vector<bool> symbol_is_constant;  ///< per OFDM data symbol
-  double bitrate_kbps = 125.0;
 };
 
 class AmDownlinkEncoder {

@@ -526,7 +526,7 @@ TEST(Tag, DetectsPayloadStartFromEnvelope) {
   ASSERT_TRUE(start.has_value());
   // True payload start: 500/8 us offset + 104 us of preamble/AA/header.
   const double expect_us = 500.0 / 8.0 + tone.packet.payload_start_us();
-  EXPECT_NEAR(*start, expect_us + tag.config().guard_us, 8.0);
+  EXPECT_NEAR(*start, expect_us + kGuardUs, 8.0);
 }
 
 // --- IC power model (paper §3) ----------------------------------------------------------

@@ -1,11 +1,9 @@
 // Tests for the BLE substrate: channel map, advertising packets, GFSK, the
-// single-tone payload solver (paper §2.2), device profiles and advertiser
-// timing.
+// single-tone payload solver (paper §2.2) and device profiles.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "ble/advertiser.h"
 #include "ble/channel_map.h"
 #include "ble/device_profile.h"
 #include "ble/gfsk.h"
@@ -80,7 +78,7 @@ TEST_P(AdvPacketAllChannels, BuildParseRoundTrip) {
   ASSERT_TRUE(parsed.has_value());
   EXPECT_TRUE(parsed->crc_ok);
   EXPECT_EQ(parsed->payload, cfg.payload);
-  EXPECT_EQ(parsed->advertiser_address, cfg.advertiser_address);
+  EXPECT_EQ(parsed->advertiser_address, kAdvertiserAddress);
   EXPECT_EQ(parsed->pdu_type, AdvPduType::kAdvNonconnInd);
 }
 
@@ -181,7 +179,7 @@ TEST(Gfsk, AlternatingBitsStayWithin2MhzBandwidth) {
   Bits bits;
   for (int i = 0; i < 256; ++i) bits.push_back(i % 2);
   const itb::dsp::CVec s = mod.modulate(bits);
-  const itb::dsp::Psd psd = itb::dsp::welch_psd(s, mod.config().sample_rate_hz);
+  const itb::dsp::Psd psd = itb::dsp::welch_psd(s, kGfskSampleRateHz);
   EXPECT_LT(itb::dsp::occupied_bandwidth_hz(psd, 0.99), 2.2e6);
 }
 
@@ -249,7 +247,7 @@ TEST(SingleTone, SpectrumCollapsesToSingleTone) {
 
   const auto payload_samples = [&](const AdvPacket& pkt) {
     const itb::dsp::CVec all = mod.modulate(pkt.air_bits);
-    const std::size_t sps = mod.samples_per_symbol();
+    const std::size_t sps = kGfskSamplesPerSymbol;
     return itb::dsp::CVec(all.begin() + pkt.payload_start_bit * sps,
                           all.begin() + pkt.payload_end_bit * sps);
   };
@@ -258,9 +256,9 @@ TEST(SingleTone, SpectrumCollapsesToSingleTone) {
   const itb::dsp::CVec rand_sig = payload_samples(random_pkt);
 
   const itb::dsp::Psd tone_psd =
-      itb::dsp::welch_psd(tone_sig, mod.config().sample_rate_hz);
+      itb::dsp::welch_psd(tone_sig, kGfskSampleRateHz);
   const itb::dsp::Psd rand_psd =
-      itb::dsp::welch_psd(rand_sig, mod.config().sample_rate_hz);
+      itb::dsp::welch_psd(rand_sig, kGfskSampleRateHz);
 
   EXPECT_LT(itb::dsp::occupied_bandwidth_hz(tone_psd, 0.99), 200e3);
   EXPECT_GT(itb::dsp::occupied_bandwidth_hz(rand_psd, 0.99), 600e3);
@@ -287,9 +285,9 @@ TEST(DeviceProfile, CfoShiftsTone) {
   p.phase_noise_rad_rms = 0.0;
   itb::dsp::Xoshiro256 rng(4);
   const itb::dsp::CVec impaired =
-      apply_impairments(clean, p, mod.config().sample_rate_hz, rng);
+      apply_impairments(clean, p, kGfskSampleRateHz, rng);
   const itb::dsp::Psd psd =
-      itb::dsp::welch_psd(impaired, mod.config().sample_rate_hz);
+      itb::dsp::welch_psd(impaired, kGfskSampleRateHz);
   EXPECT_NEAR(itb::dsp::peak_frequency_hz(psd), 350e3, 40e3);
 }
 
@@ -303,28 +301,8 @@ TEST(DeviceProfile, TxPowerScalesAmplitude) {
   p.cfo_hz = 0.0;
   itb::dsp::Xoshiro256 rng(5);
   const itb::dsp::CVec loud =
-      apply_impairments(clean, p, mod.config().sample_rate_hz, rng);
+      apply_impairments(clean, p, kGfskSampleRateHz, rng);
   EXPECT_NEAR(itb::dsp::mean_power(loud) / itb::dsp::mean_power(clean), 100.0, 1.0);
-}
-
-// --- advertiser timing ----------------------------------------------------------
-
-TEST(Advertiser, ScheduleCoversThreeChannels) {
-  AdvertiserTiming t;
-  const auto slots = advertising_schedule(t, 376.0, 2);
-  ASSERT_EQ(slots.size(), 6u);
-  EXPECT_EQ(slots[0].channel_index, 37u);
-  EXPECT_EQ(slots[1].channel_index, 38u);
-  EXPECT_EQ(slots[2].channel_index, 39u);
-  EXPECT_DOUBLE_EQ(slots[0].start_us, 0.0);
-  EXPECT_DOUBLE_EQ(slots[1].start_us, 376.0 + 400.0);
-  EXPECT_DOUBLE_EQ(slots[3].start_us, 20000.0);
-}
-
-TEST(Advertiser, ReservationWindowFormula) {
-  AdvertiserTiming t;
-  // Paper §2.3.3: 2 * dT + T_bluetooth.
-  EXPECT_DOUBLE_EQ(reservation_window_us(t, 376.0), 1176.0);
 }
 
 }  // namespace

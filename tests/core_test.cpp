@@ -3,6 +3,8 @@
 // pipeline (802.11g AM -> peak detector).
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "core/downlink.h"
 #include "core/interscatter.h"
 
@@ -23,6 +25,22 @@ TEST(Interscatter, ShiftMatchesChannelPlan) {
   s.wifi_channel = 11;
   const InterscatterSystem sys(s);
   EXPECT_NEAR(sys.shift_hz(), 36e6, 1.0);
+}
+
+TEST(Interscatter, RejectsChannelsOffThePlan) {
+  for (const unsigned wifi : {0u, 14u}) {
+    UplinkScenario s;
+    s.wifi_channel = wifi;
+    EXPECT_THROW(InterscatterSystem{s}, std::invalid_argument)
+        << "wifi channel " << wifi;
+  }
+  UplinkScenario ble;
+  ble.ble_channel = 40;
+  EXPECT_THROW(InterscatterSystem{ble}, std::invalid_argument);
+  UplinkScenario edges;
+  edges.ble_channel = 0;
+  edges.wifi_channel = 13;
+  EXPECT_NO_THROW(InterscatterSystem{edges});
 }
 
 TEST(Interscatter, BudgetSaneAtTypicalGeometry) {

@@ -404,6 +404,23 @@ TEST(Spectrum, NormalizePeakSetsMaxToZero) {
   EXPECT_NEAR(mx, 0.0, 1e-12);
 }
 
+TEST(Spectrum, WelchRejectsOverlapAtOrPastSegment) {
+  // overlap == segment_size would make the hop zero (an endless loop) and a
+  // larger overlap would wrap it; both throw in every build mode.
+  const CVec x = tone(0.0, 1e6, 4096);
+  for (const std::size_t overlap : {std::size_t{256}, std::size_t{300}}) {
+    WelchConfig cfg;
+    cfg.segment_size = 256;
+    cfg.overlap = overlap;
+    EXPECT_THROW((void)welch_psd(x, 1e6, cfg), std::invalid_argument)
+        << "overlap " << overlap;
+  }
+  WelchConfig ok;
+  ok.segment_size = 256;
+  ok.overlap = 255;
+  EXPECT_NO_THROW((void)welch_psd(x, 1e6, ok));
+}
+
 TEST(Resample, HoldUpsampleRepeatsValues) {
   const CVec x = {{1, 0}, {2, 0}};
   const CVec y = hold_upsample(std::span<const Complex>(x), 3);

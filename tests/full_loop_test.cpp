@@ -125,7 +125,7 @@ TEST(FullLoop, BleDetectionToWifiReplyTimeline) {
   const auto detected_start = tag.detect_payload_start(incident, 8e6);
   ASSERT_TRUE(detected_start.has_value());
   EXPECT_NEAR(*detected_start,
-              tone.packet.payload_start_us() + tag_cfg.guard_us, 10.0);
+              tone.packet.payload_start_us() + backscatter::kGuardUs, 10.0);
 
   const phy::Bytes psdu(30, 0x66);
   const auto plan = tag.plan(tone.packet, psdu);
@@ -170,9 +170,8 @@ TEST(FullLoop, EnvelopeDetectorRangeGate) {
       0.0, 2.0, 2.0, pl, 8.0 * channel::kFeetToMeters);
   const Real at_25ft = channel::direct_rssi_dbm(
       0.0, 2.0, 2.0, pl, 25.0 * channel::kFeetToMeters);
-  const backscatter::EnvelopeDetectorConfig det;
-  EXPECT_GT(at_8ft, det.threshold_dbm);
-  EXPECT_LT(at_25ft, det.threshold_dbm);
+  EXPECT_GT(at_8ft, backscatter::kEnvelopeThresholdDbm);
+  EXPECT_LT(at_25ft, backscatter::kEnvelopeThresholdDbm);
 }
 
 TEST(FullLoop, DownlinkThenUplinkThroughScenarios) {

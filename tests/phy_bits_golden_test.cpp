@@ -290,7 +290,7 @@ TEST(PhyBitsGolden, SimulateDcf) {
     mac::InterfererConfig tag;
     tag.packets_per_second = 650.0;
     tag.on_victim_channel = dsb;
-    const mac::DcfResult r = mac::simulate_dcf(mac::DcfConfig{}, tag, 0.5, 7);
+    const mac::DcfResult r = mac::simulate_dcf(tag, 0.5, 7);
     out.insert(out.end(), {r.throughput_mbps, r.collision_rate,
                            r.airtime_busy_fraction,
                            static_cast<Real>(r.frames_ok),

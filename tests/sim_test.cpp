@@ -102,7 +102,6 @@ TEST(Topology, HospitalWardPlacesAllTagsAndRoomHelpers) {
   TopologyConfig cfg;
   cfg.kind = TopologyKind::kHospitalWard;
   cfg.num_tags = 35;
-  cfg.beds_per_room = 4;
   cfg.num_helpers = 0;  // 0 = one per room
   const Placement p = generate_topology(cfg);
   EXPECT_EQ(p.tags.size(), 35u);
@@ -111,7 +110,7 @@ TEST(Topology, HospitalWardPlacesAllTagsAndRoomHelpers) {
   // Every tag has a helper within room range (wall-mount coverage).
   for (const Vec2& tag : p.tags) {
     const std::size_t h = nearest_index(p.helpers, tag);
-    EXPECT_LT(distance_m(p.helpers[h], tag), cfg.room_pitch_m);
+    EXPECT_LT(distance_m(p.helpers[h], tag), kRoomPitchM);
   }
 }
 
@@ -584,6 +583,23 @@ TEST(Network, RejectsDegenerateConfigs) {
   no_infra.topology.num_helpers = 0;  // grid honours 0 as literally none
   no_infra.topology.num_aps = 0;
   EXPECT_THROW(NetworkCoordinator{no_infra}, std::invalid_argument);
+
+  // Channels off the BLE 0..39 and Wi-Fi 1..13 plans would place a carrier
+  // out of band and shift by the wrong amount.
+  for (const unsigned wifi : {0u, 14u}) {
+    NetworkConfig bad_wifi;
+    bad_wifi.wifi_channels = {1, wifi};
+    EXPECT_THROW(NetworkCoordinator{bad_wifi}, std::invalid_argument)
+        << "wifi channel " << wifi;
+  }
+  NetworkConfig bad_ble;
+  bad_ble.ble_channel = 40;
+  EXPECT_THROW(NetworkCoordinator{bad_ble}, std::invalid_argument);
+  NetworkConfig edges;
+  edges.topology.num_tags = 4;
+  edges.wifi_channels = {1, 13};
+  edges.ble_channel = 39;
+  EXPECT_NO_THROW(NetworkCoordinator{edges});
 }
 
 TEST(Network, MoreTagsStretchTailLatency) {
