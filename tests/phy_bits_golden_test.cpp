@@ -273,7 +273,8 @@ TEST(PhyBitsGolden, PerVsSnrPoint) {
 // --- Model constants --------------------------------------------------------
 // The paths below read values the paper fixes (IC block powers, 802.11g DCF
 // timing, LE 1M GFSK, detector time constants, BLE addresses, AM downlink
-// fill). These pins hold their outputs while those values are constants.
+// fill), kept as constants in their modules (DESIGN.md "Model constants").
+// A changed constant, or a compiler folding one differently, moves a pin.
 
 Bits pseudo_random_bits(std::size_t n, std::uint64_t seed) {
   dsp::Xoshiro256 rng(dsp::splitmix64(seed));
@@ -282,8 +283,8 @@ Bits pseudo_random_bits(std::size_t n, std::uint64_t seed) {
   return out;
 }
 
-// The DCF loop draws backoffs and burst gaps from the seeded stream; the
-// burst gaps and the rate ladder go through libm log and abs only.
+// The DCF loop draws backoffs and burst gaps from the seeded stream; only
+// the burst gaps go through libm (log).
 TEST(PhyBitsGolden, SimulateDcf) {
   std::vector<Real> out;
   for (const bool dsb : {false, true}) {
