@@ -12,8 +12,12 @@
 // "Gaussian sampler", under "libm that remains on digest paths".
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstdio>
+#include <iterator>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -40,6 +44,9 @@
 #include "wifi/am_downlink.h"
 #include "wifi/barker.h"
 #include "wifi/cck.h"
+#include "wifi/dsss_tx.h"
+#include "wifi/interleaver.h"
+#include "wifi/ofdm_rx.h"
 #include "zigbee/oqpsk.h"
 
 namespace itb {
@@ -268,6 +275,126 @@ TEST(PhyBitsGolden, PerVsSnrPoint) {
   ASSERT_EQ(p11.size(), 1u);
   EXPECT_EQ(p11[0].per_monte_carlo, 0x1.8p-1) << std::hexfloat
                                             << p11[0].per_monte_carlo;
+}
+
+// The 802.11b transmitter at every rate and both preambles: DBPSK header,
+// DBPSK/DQPSK or CCK PSDU, the differential phase carried across the
+// header/PSDU boundary (libm cos/sin on the running phase).
+TEST(PhyBitsGolden, DsssModulate) {
+  phy::Bytes psdu(23);
+  for (std::size_t i = 0; i < psdu.size(); ++i) {
+    psdu[i] = static_cast<std::uint8_t>(i * 73 + 5);
+  }
+  struct Golden {
+    wifi::DsssRate rate;
+    bool short_preamble;
+    std::uint64_t digest;
+  };
+  const Golden goldens[] = {
+      {wifi::DsssRate::k1Mbps, false, 0xc936b7b222f3a622ULL},
+      {wifi::DsssRate::k1Mbps, true, 0x6a46438fc9cc0541ULL},
+      {wifi::DsssRate::k2Mbps, false, 0x4402a1fbf68a4ae1ULL},
+      {wifi::DsssRate::k2Mbps, true, 0x1be59af79d4c492dULL},
+      {wifi::DsssRate::k5_5Mbps, false, 0xacfaf0d7766e9339ULL},
+      {wifi::DsssRate::k5_5Mbps, true, 0xae7ab9ee30f68601ULL},
+      {wifi::DsssRate::k11Mbps, false, 0xde9df1df5e6d6ad7ULL},
+      {wifi::DsssRate::k11Mbps, true, 0x3557d7a4fcab12c9ULL},
+  };
+  for (const Golden& g : goldens) {
+    wifi::DsssTxConfig cfg;
+    cfg.rate = g.rate;
+    cfg.samples_per_chip = 2;
+    cfg.short_tag_preamble = g.short_preamble;
+    const wifi::DsssFrame f = wifi::DsssTransmitter(cfg).modulate(psdu);
+    const std::vector<std::uint64_t> out = {
+        fnv64(f.baseband), fnv64(f.chips), f.psdu_bits,
+        std::bit_cast<std::uint64_t>(f.duration_us)};
+    EXPECT_DIGEST(g.digest, fnv64(out))
+        << "rate " << static_cast<int>(g.rate) << " short "
+        << g.short_preamble;
+  }
+}
+
+/// Everything OfdmReceiver::receive reports, doubles bit-exact.
+std::uint64_t ofdm_rx_digest(const std::optional<wifi::OfdmRxResult>& r) {
+  if (!r) return 0;
+  std::vector<std::uint64_t> out = {
+      static_cast<std::uint64_t>(r->rate),
+      r->scrambler_seed,
+      r->signal_ok ? 1u : 0u,
+      std::bit_cast<std::uint64_t>(r->rssi_dbm),
+      r->frame_start,
+      std::bit_cast<std::uint64_t>(r->cfo_est_hz),
+      r->psdu.size(),
+      fnv64(r->psdu)};
+  return fnv64(out);
+}
+
+// The OFDM receiver on clean frames at 6 and 54 Mbps (each after a complex
+// gain and a lead-in, so equalization and the LTF search do work), on a
+// noisy 54 Mbps frame whose hard decisions sit near threshold, and on a
+// frame whose SIGNAL parity bit is flipped (rejected: signal_ok false).
+TEST(PhyBitsGolden, OfdmReceive) {
+  phy::Bytes psdu(57);
+  for (std::size_t i = 0; i < psdu.size(); ++i) {
+    psdu[i] = static_cast<std::uint8_t>(i * 29 + 3);
+  }
+  const auto on_air = [](const CVec& baseband) {
+    CVec rx(37, Complex{0.0, 0.0});
+    for (const Complex& v : baseband) rx.push_back(v * Complex{0.6, -0.45});
+    rx.resize(rx.size() + 40, Complex{0.0, 0.0});
+    return rx;
+  };
+  const wifi::OfdmReceiver receiver;
+  std::vector<std::uint64_t> out;
+  for (const wifi::OfdmRate rate : {wifi::OfdmRate::k6, wifi::OfdmRate::k54}) {
+    wifi::OfdmTxConfig cfg;
+    cfg.rate = rate;
+    const CVec rx = on_air(wifi::OfdmTransmitter(cfg).transmit(psdu).baseband);
+    const auto r = receiver.receive(rx);
+    ASSERT_TRUE(r.has_value());
+    EXPECT_TRUE(r->signal_ok);
+    EXPECT_EQ(r->rate, rate);
+    // The receiver returns the DATA field's pad bytes after the PSDU.
+    ASSERT_GE(r->psdu.size(), psdu.size());
+    EXPECT_TRUE(std::equal(psdu.begin(), psdu.end(), r->psdu.begin()));
+    out.push_back(ofdm_rx_digest(r));
+  }
+
+  wifi::OfdmTxConfig cfg;
+  cfg.rate = wifi::OfdmRate::k54;
+  CVec noisy = on_air(wifi::OfdmTransmitter(cfg).transmit(psdu).baseband);
+  const CVec noise = gaussian_cvec(noisy.size(), 126);
+  for (std::size_t i = 0; i < noisy.size(); ++i) noisy[i] += 0.09 * noise[i];
+  out.push_back(ofdm_rx_digest(receiver.receive(noisy)));
+
+  // SIGNAL field as build_signal_symbol lays it out, parity bit inverted.
+  cfg.rate = wifi::OfdmRate::k6;
+  CVec bad = wifi::OfdmTransmitter(cfg).transmit(psdu).baseband;
+  Bits field(24, 0);
+  const unsigned rate_bits = wifi::ofdm_params(cfg.rate).signal_rate_bits;
+  for (int i = 0; i < 4; ++i) field[i] = (rate_bits >> (3 - i)) & 1;
+  for (int i = 0; i < 12; ++i) field[5 + i] = (psdu.size() >> i) & 1;
+  unsigned ones = 0;
+  for (int i = 0; i < 17; ++i) ones += field[i];
+  field[17] = (ones & 1) ^ 1;
+  const CVec sig = wifi::build_ofdm_symbol(
+      wifi::qam_modulate(
+          wifi::interleave(wifi::convolutional_encode(field), 48, 1),
+          wifi::Modulation::kBpsk),
+      0);
+  std::copy(sig.begin(), sig.end(), bad.begin() + 320);
+  const auto r = receiver.receive(on_air(bad));
+  ASSERT_TRUE(r.has_value());
+  EXPECT_FALSE(r->signal_ok);
+  out.push_back(ofdm_rx_digest(r));
+
+  const std::uint64_t goldens[] = {0xce27c7d06aef7b59ULL, 0x4bbf7edcf4df7d23ULL,
+                                   0xdb4a32f68a451e2dULL, 0x0da0975079527776ULL};
+  ASSERT_EQ(out.size(), std::size(goldens));
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    EXPECT_DIGEST(goldens[i], out[i]) << "case " << i;
+  }
 }
 
 // --- Model constants --------------------------------------------------------
