@@ -14,22 +14,20 @@ int main() {
                 "synth 9.69 uW + baseband 8.51 uW + modulator 9.79 uW = 28 uW "
                 "at 2 Mbps; 3-4 orders of magnitude below active radios");
 
-  const backscatter::IcPowerModel model;
-
   std::printf("rate,synth_uw,baseband_uw,modulator_uw,total_uw,energy_pj_per_bit\n");
   for (const auto rate : {wifi::DsssRate::k1Mbps, wifi::DsssRate::k2Mbps,
                           wifi::DsssRate::k5_5Mbps, wifi::DsssRate::k11Mbps}) {
-    const auto p = model.active_power(rate, 35.75e6);
+    const auto p = backscatter::active_power(rate, 35.75e6);
     std::printf("%s,%.2f,%.2f,%.2f,%.2f,%.1f\n",
                 std::string(wifi::rate_name(rate)).c_str(), p.synthesizer_uw,
                 p.baseband_uw, p.modulator_uw, p.total_uw(),
-                model.energy_per_bit_pj(rate, 35.75e6));
+                backscatter::energy_per_bit_pj(rate, 35.75e6));
   }
 
   bench::note("duty-cycling (2 Mbps): average power vs airtime fraction");
   for (const double duty : {1.0, 0.1, 0.01, 0.001}) {
     std::printf("#   duty %.3f -> %.3f uW\n", duty,
-                model.average_power_uw(wifi::DsssRate::k2Mbps, 35.75e6, duty));
+                backscatter::average_power_uw(wifi::DsssRate::k2Mbps, 35.75e6, duty));
   }
 
   bench::note("comparison with conventional radios (TX power):");

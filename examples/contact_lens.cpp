@@ -70,16 +70,15 @@ int main() {
   }
 
   // Power story: the paper's whole point.
-  const backscatter::IcPowerModel power;
   const double airtime_us = 224.0;  // short preamble + ~8 B at 2 Mbps
   const double duty = airtime_us / 20000.0;  // one packet per 20 ms event
   std::printf("\npower: %.1f uW while backscattering, %.2f uW averaged at a "
               "20 ms reporting interval\n",
-              power.active_power(wifi::DsssRate::k2Mbps, 35.75e6).total_uw(),
-              power.average_power_uw(wifi::DsssRate::k2Mbps, 35.75e6, duty));
+              backscatter::active_power(wifi::DsssRate::k2Mbps, 35.75e6).total_uw(),
+              backscatter::average_power_uw(wifi::DsssRate::k2Mbps, 35.75e6, duty));
   std::printf("a BLE radio TX at ~18 mW would be ~%0.f00x the power budget of "
               "this lens\n",
-              18000.0 / power.active_power(wifi::DsssRate::k2Mbps, 35.75e6)
+              18000.0 / backscatter::active_power(wifi::DsssRate::k2Mbps, 35.75e6)
                             .total_uw() / 100.0);
   return 0;
 }

@@ -16,8 +16,7 @@ constexpr Real kStaticFraction = 0.15;
 
 }  // namespace
 
-PowerBreakdown IcPowerModel::active_power(itb::wifi::DsssRate rate,
-                                          Real shift_hz) const {
+PowerBreakdown active_power(itb::wifi::DsssRate rate, Real shift_hz) {
   const Real s = kStaticFraction;
   const Real shift_scale = std::abs(shift_hz) / kRefShiftHz;
 
@@ -53,16 +52,15 @@ PowerBreakdown IcPowerModel::active_power(itb::wifi::DsssRate rate,
   return {synth, baseband, modulator};
 }
 
-Real IcPowerModel::average_power_uw(itb::wifi::DsssRate rate, Real shift_hz,
-                                    Real airtime_fraction) const {
+Real average_power_uw(itb::wifi::DsssRate rate, Real shift_hz,
+                      Real airtime_fraction) {
   const PowerBreakdown active = active_power(rate, shift_hz);
   const Real sleep = active.total_uw() * kStaticFraction * 0.1;
   return airtime_fraction * active.total_uw() +
          (1.0 - airtime_fraction) * sleep;
 }
 
-Real IcPowerModel::energy_per_bit_pj(itb::wifi::DsssRate rate,
-                                     Real shift_hz) const {
+Real energy_per_bit_pj(itb::wifi::DsssRate rate, Real shift_hz) {
   const PowerBreakdown p = active_power(rate, shift_hz);
   // uW / Mbps = pJ/bit.
   return p.total_uw() / itb::wifi::rate_mbps(rate);

@@ -23,19 +23,16 @@ struct PowerBreakdown {
   Real total_uw() const { return synthesizer_uw + baseband_uw + modulator_uw; }
 };
 
-class IcPowerModel {
- public:
-  /// Power while backscattering at the given Wi-Fi rate and shift.
-  PowerBreakdown active_power(itb::wifi::DsssRate rate, Real shift_hz) const;
+/// Power while backscattering at the given Wi-Fi rate and shift.
+PowerBreakdown active_power(itb::wifi::DsssRate rate, Real shift_hz);
 
-  /// Average power with duty cycling: the tag transmits `airtime_fraction`
-  /// of the time and sleeps (leakage only) otherwise.
-  Real average_power_uw(itb::wifi::DsssRate rate, Real shift_hz,
-                        Real airtime_fraction) const;
+/// Average power with duty cycling: the tag transmits `airtime_fraction`
+/// of the time and sleeps (leakage only) otherwise.
+Real average_power_uw(itb::wifi::DsssRate rate, Real shift_hz,
+                      Real airtime_fraction);
 
-  /// Energy per transmitted payload bit (pJ/bit).
-  Real energy_per_bit_pj(itb::wifi::DsssRate rate, Real shift_hz) const;
-};
+/// Energy per transmitted payload bit (pJ/bit).
+Real energy_per_bit_pj(itb::wifi::DsssRate rate, Real shift_hz);
 
 /// Reference power draws of conventional radios for the comparison table
 /// (typical datasheet numbers for 2.4 GHz transceivers).

@@ -141,21 +141,6 @@ UplinkDecodeResult InterscatterSystem::simulate_frame(
   return out;
 }
 
-std::vector<SweepPoint> sweep_distance(const UplinkScenario& base,
-                                       const std::vector<Real>& distances_m,
-                                       std::size_t psdu_bytes) {
-  std::vector<SweepPoint> out;
-  out.reserve(distances_m.size());
-  for (Real d : distances_m) {
-    UplinkScenario s = base;
-    s.tag_rx_distance_m = d;
-    const InterscatterSystem sys(s);
-    const UplinkBudget b = sys.budget(psdu_bytes);
-    out.push_back({d, b.rssi_dbm, b.per});
-  }
-  return out;
-}
-
 std::string version() { return "interscatter 1.0.0"; }
 
 }  // namespace itb::core

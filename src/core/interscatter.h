@@ -104,17 +104,6 @@ class InterscatterSystem {
   itb::ble::SingleToneResult tone_;
 };
 
-/// Helper used by the application benches: sweep tag->rx distance and report
-/// (distance, RSSI) pairs plus the PER at each point.
-struct SweepPoint {
-  Real distance_m;
-  Real rssi_dbm;
-  Real per;
-};
-std::vector<SweepPoint> sweep_distance(const UplinkScenario& base,
-                                       const std::vector<Real>& distances_m,
-                                       std::size_t psdu_bytes);
-
 /// Library version string.
 std::string version();
 

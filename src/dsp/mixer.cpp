@@ -2,14 +2,6 @@
 
 namespace itb::dsp {
 
-CVec frequency_shift(std::span<const Complex> x, Real freq_hz, Real sample_rate_hz,
-                     Real initial_phase_rad) {
-  Nco nco(freq_hz, sample_rate_hz, initial_phase_rad);
-  CVec out(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) out[i] = x[i] * nco.next();
-  return out;
-}
-
 CVec tone(Real freq_hz, Real sample_rate_hz, std::size_t n, Real amplitude,
           Real initial_phase_rad) {
   Nco nco(freq_hz, sample_rate_hz, initial_phase_rad);

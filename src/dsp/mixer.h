@@ -1,7 +1,5 @@
-// Numerically-controlled oscillator and frequency-shift helpers.
+// Numerically-controlled oscillator and tone generator.
 #pragma once
-
-#include <span>
 
 #include "dsp/types.h"
 
@@ -22,13 +20,6 @@ class Nco {
     return out;
   }
 
-  /// Generates n consecutive samples.
-  CVec generate(std::size_t n) {
-    CVec out(n);
-    for (auto& v : out) v = next();
-    return out;
-  }
-
   /// Advances the phase by n samples without producing output.
   void advance(std::size_t n) {
     phase_ += phase_step_ * static_cast<Real>(n);
@@ -42,10 +33,6 @@ class Nco {
   Real phase_;
   Real phase_step_;
 };
-
-/// Returns x multiplied by e^{j 2 pi f t}: shifts the spectrum up by freq_hz.
-CVec frequency_shift(std::span<const Complex> x, Real freq_hz, Real sample_rate_hz,
-                     Real initial_phase_rad = 0.0);
 
 /// Generates a pure tone at freq_hz with the given amplitude.
 CVec tone(Real freq_hz, Real sample_rate_hz, std::size_t n, Real amplitude = 1.0,

@@ -2,7 +2,7 @@
 //
 // Different PHYs in this project run at different natural rates (BLE at
 // 8 Msps, 802.11b synthesis at 143 Msps, OFDM at 20 Msps, ZigBee at
-// 96 Msps); the channel combiner resamples everything to a common rate.
+// 96 Msps); these helpers move a signal between them by integer factors.
 #pragma once
 
 #include <span>
@@ -10,11 +10,6 @@
 #include "dsp/types.h"
 
 namespace itb::dsp {
-
-/// Integer upsampling: zero-stuff by factor L then low-pass interpolate.
-/// Output length is exactly x.size() * L. L == 0 throws
-/// std::invalid_argument.
-CVec upsample(std::span<const Complex> x, std::size_t factor);
 
 /// Integer decimation: anti-alias low-pass then keep every Mth sample
 /// (indices 0, M, 2M, ...). Output length is ceil(x.size() / M): a trailing
@@ -24,11 +19,6 @@ CVec upsample(std::span<const Complex> x, std::size_t factor);
 /// result equals filter_same-then-pick bit for bit wherever filter_same
 /// takes the direct path. M == 0 throws std::invalid_argument.
 CVec decimate(std::span<const Complex> x, std::size_t factor);
-
-/// Linear-interpolation resampler to an arbitrary rational/real ratio
-/// out_rate/in_rate. Adequate for the smooth (already band-limited) signals
-/// this project moves between rate domains.
-CVec resample_linear(std::span<const Complex> x, Real in_rate_hz, Real out_rate_hz);
 
 /// Repeats each sample `factor` times (zero-order hold). Used for chip-rate
 /// to sample-rate expansion where the rectangular shape is intentional

@@ -40,7 +40,7 @@ enum class FaultKind : std::uint8_t {
   /// entity = Wi-Fi channel *number* (1..13, as in NetworkConfig).
   kInterference = 1,
   /// Tag harvest brownout: the IC's storage cap sags below the logic
-  /// retention voltage (backscatter::IcPowerModel territory), so the tag
+  /// retention voltage (backscatter/ic_power.h territory), so the tag
   /// neither decodes queries nor replies. entity = tag id.
   kBrownout = 2,
   /// Transient fleet-wide SNR slump of magnitude_db (e.g. body movement

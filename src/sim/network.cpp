@@ -128,7 +128,6 @@ struct Sums {
   /// `elapsed_us` and `shift_hz` are the tag's group's timeline length and
   /// SSB shift.
   void add(const TagStats& ts, double elapsed_us, Real shift_hz,
-           const itb::backscatter::IcPowerModel& power,
            itb::wifi::DsssRate rate) {
     payload_bits += ts.payload_bits;
     tx_energy_nj += ts.tx_energy_nj;
@@ -136,7 +135,8 @@ struct Sums {
     const double duty = elapsed_us > 0.0 ? ts.airtime_us / elapsed_us : 0.0;
     airtime_duty += duty;
     harvest_duty += elapsed_us > 0.0 ? ts.harvest_us / elapsed_us : 0.0;
-    power_uw += power.average_power_uw(rate, shift_hz, std::min(duty, 1.0));
+    power_uw += itb::backscatter::average_power_uw(rate, shift_hz,
+                                                   std::min(duty, 1.0));
   }
 
   void merge(const Sums& o) {
@@ -550,7 +550,6 @@ RunPlan NetworkCoordinator::plan() const {
   }
   // Attempt energy follows the IC model at the group's SSB shift (it sets
   // the synthesizer power). uW * us = pJ, stored as nJ.
-  const itb::backscatter::IcPowerModel power;
   const Real ble_hz = itb::ble::ChannelMap::frequency_hz(cfg_.ble_channel);
   p.groups.resize(channels_.size());
   for (std::size_t g = 0; g < channels_.size(); ++g) {
@@ -568,7 +567,7 @@ RunPlan NetworkCoordinator::plan() const {
     for (std::size_t w = 0; w < mac::kNumLinkWaveforms; ++w) {
       const auto wf = static_cast<mac::LinkWaveform>(w);
       grp.attempt_energy_nj[w] =
-          power.active_power(mac::waveform_rate(wf), grp.shift_hz)
+          itb::backscatter::active_power(mac::waveform_rate(wf), grp.shift_hz)
               .total_uw() *
           p.attempt_airtime_us[w] * 1e-3;
     }
@@ -751,7 +750,6 @@ void NetworkCoordinator::fold_shard(const RunPlan& plan, std::size_t si,
   // packet on the three advertising channels.
   const double adv_events =
       ch.elapsed_us / (cfg_.polling.advertising_interval_ms * 1e3);
-  const itb::backscatter::IcPowerModel power;
   for (std::size_t i = 0; i < local.size(); ++i) {
     const std::uint32_t tag =
         group_tag(channels_.size(), sh.group, sh.begin + i);
@@ -768,8 +766,7 @@ void NetworkCoordinator::fold_shard(const RunPlan& plan, std::size_t si,
     ts.harvest_us = adv_events * 3.0 * itb::ble::kAdvPacketUs +
                     static_cast<double>(ts.queries) * plan.query_us;
     for (const Counter& c : kCounters) res.stats.*c.total += ts.*c.tag;
-    res.sums.add(ts, ch.elapsed_us, plan.groups[sh.group].shift_hz, power,
-                 cfg_.rate);
+    res.sums.add(ts, ch.elapsed_us, plan.groups[sh.group].shift_hz, cfg_.rate);
     if (cfg_.keep_per_tag) per_tag[tag] = ts;
   }
 }
@@ -801,12 +798,11 @@ NetworkStats NetworkCoordinator::reduce(const RunPlan& plan,
     if (!cfg_.keep_per_tag) sums.merge(shards[si].sums);
   }
   if (cfg_.keep_per_tag) {
-    const itb::backscatter::IcPowerModel power;
     for (const RunPlan::Shard& sh : plan.shards) {
       for (std::size_t s = sh.begin; s < sh.end; ++s) {
         sums.add(per_tag[group_tag(channels_.size(), sh.group, s)],
                  channels_[sh.group].elapsed_us,
-                 plan.groups[sh.group].shift_hz, power, cfg_.rate);
+                 plan.groups[sh.group].shift_hz, cfg_.rate);
       }
     }
   }

@@ -136,7 +136,8 @@ struct NetworkStats {
   double mean_airtime_duty = 0.0;
   /// Mean fraction of time a tag is illuminated by a carrier it can harvest.
   double mean_harvest_duty = 0.0;
-  /// Mean tag power draw at its duty cycle (uW), via IcPowerModel.
+  /// Mean tag power draw at its duty cycle (uW), via
+  /// backscatter::average_power_uw.
   double mean_tag_power_uw = 0.0;
   // --- resilience -----------------------------------------------------
   std::uint64_t messages_offered = 0;

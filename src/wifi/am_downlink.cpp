@@ -130,39 +130,4 @@ AmFrame AmDownlinkEncoder::encode(const Bits& message_bits) {
   return out;
 }
 
-AmDecodeResult decode_am_envelope(const CVec& baseband,
-                                  std::size_t num_data_symbols,
-                                  bool has_preamble) {
-  AmDecodeResult out;
-  // Preamble = STF(160) + LTF(160) + SIGNAL(80).
-  const std::size_t data_start = has_preamble ? 400 : 0;
-  out.symbol_envelope.resize(num_data_symbols, 0.0);
-  for (std::size_t s = 0; s < num_data_symbols; ++s) {
-    const std::size_t start = data_start + s * kSymbolSamples;
-    if (start + kSymbolSamples > baseband.size()) break;
-    // Skip the CP and the first few samples (the constant symbol's energy
-    // spike sits at the start); measure the trailing 48 samples.
-    Real acc = 0.0;
-    std::size_t n = 0;
-    for (std::size_t k = kCpLen + 16; k < kSymbolSamples; ++k) {
-      acc += std::abs(baseband[start + k]);
-      ++n;
-    }
-    out.symbol_envelope[s] = n ? acc / static_cast<Real>(n) : 0.0;
-  }
-
-  // Global threshold: half of the median envelope of all symbols.
-  std::vector<Real> sorted = out.symbol_envelope;
-  std::sort(sorted.begin(), sorted.end());
-  const Real median = sorted.empty() ? 0.0 : sorted[sorted.size() / 2];
-  const Real threshold = median * 0.5;
-
-  // Symbol 0 is the header symbol; message bits ride on pairs (s, s+1).
-  for (std::size_t s = 1; s + 1 < num_data_symbols; s += 2) {
-    const Real second = out.symbol_envelope[s + 1];
-    out.bits.push_back(second < threshold ? 1 : 0);
-  }
-  return out;
-}
-
 }  // namespace itb::wifi

@@ -60,15 +60,4 @@ class AmDownlinkEncoder {
   itb::dsp::Xoshiro256 rng_;
 };
 
-/// Envelope-domain decoder mirror-imaging the tag's peak detector: classifies
-/// each symbol pair from the amplitude profile. Used by tests and by the
-/// backscatter::PeakDetector integration (which adds RC dynamics + noise).
-struct AmDecodeResult {
-  itb::phy::Bits bits;
-  std::vector<itb::dsp::Real> symbol_envelope;  ///< mean |x| per data symbol
-};
-AmDecodeResult decode_am_envelope(const itb::dsp::CVec& baseband,
-                                  std::size_t num_data_symbols,
-                                  bool has_preamble = true);
-
 }  // namespace itb::wifi

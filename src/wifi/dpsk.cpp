@@ -25,17 +25,15 @@ Real dqpsk_phase_increment(std::uint8_t d0, std::uint8_t d1) {
   return 0.0;
 }
 
-CVec dbpsk_encode(const Bits& bits, Real initial_phase_rad) {
-  DifferentialEncoder enc(initial_phase_rad);
+CVec dbpsk_encode(const Bits& bits, DifferentialEncoder& enc) {
   CVec out;
   out.reserve(bits.size());
   for (std::uint8_t b : bits) out.push_back(enc.encode_increment(dbpsk_phase_increment(b)));
   return out;
 }
 
-CVec dqpsk_encode(const Bits& bits, Real initial_phase_rad) {
+CVec dqpsk_encode(const Bits& bits, DifferentialEncoder& enc) {
   assert(bits.size() % 2 == 0);
-  DifferentialEncoder enc(initial_phase_rad);
   CVec out;
   out.reserve(bits.size() / 2);
   for (std::size_t i = 0; i + 1 < bits.size(); i += 2) {

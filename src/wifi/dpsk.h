@@ -40,11 +40,13 @@ class DifferentialEncoder {
   Real phase_;
 };
 
-/// DBPSK-encodes a bit stream into symbols.
-CVec dbpsk_encode(const Bits& bits, Real initial_phase_rad = 0.0);
+/// DBPSK-encodes a bit stream into symbols, continuing from `enc`'s phase
+/// and leaving `enc` at the last symbol's phase.
+CVec dbpsk_encode(const Bits& bits, DifferentialEncoder& enc);
 
-/// DQPSK-encodes a bit stream (even length) into symbols.
-CVec dqpsk_encode(const Bits& bits, Real initial_phase_rad = 0.0);
+/// DQPSK-encodes a bit stream (even length) into symbols, continuing from
+/// `enc`'s phase and leaving `enc` at the last symbol's phase.
+CVec dqpsk_encode(const Bits& bits, DifferentialEncoder& enc);
 
 /// Differential decode: recovers bits from received symbols given the symbol
 /// preceding the first one (reference).

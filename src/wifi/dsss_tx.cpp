@@ -1,7 +1,5 @@
 #include "wifi/dsss_tx.h"
 
-#include <cassert>
-
 #include "dsp/resample.h"
 #include "phycommon/lfsr.h"
 #include "wifi/barker.h"
@@ -39,51 +37,32 @@ DsssFrame DsssTransmitter::modulate(const Bytes& psdu) const {
   low_rate_bits.insert(low_rate_bits.end(), header.begin(), header.end());
   const Bits low_rate_scrambled = scrambler.scramble(low_rate_bits);
 
-  DifferentialEncoder ref_enc(0.0);
-  CVec symbols;
-  symbols.reserve(low_rate_scrambled.size());
-  for (std::uint8_t b : low_rate_scrambled) {
-    symbols.push_back(ref_enc.encode_increment(dbpsk_phase_increment(b)));
-  }
-  CVec chips = spread(symbols);
+  // One encoder for the whole frame: the PSDU (and CCK) continue from the
+  // header's last phase.
+  DifferentialEncoder enc(0.0);
+  CVec chips = spread(dbpsk_encode(low_rate_scrambled, enc));
 
   // --- PSDU at the data rate ----------------------------------------------
   const Bits psdu_bits = itb::phy::bytes_to_bits_lsb_first(psdu);
   const Bits psdu_scrambled = scrambler.scramble(psdu_bits);
-  const Real header_end_phase = ref_enc.phase();
 
+  CVec psdu_chips;
   switch (cfg_.rate) {
-    case DsssRate::k1Mbps: {
-      DifferentialEncoder enc(header_end_phase);
-      CVec s;
-      for (std::uint8_t b : psdu_scrambled) {
-        s.push_back(enc.encode_increment(dbpsk_phase_increment(b)));
-      }
-      const CVec c = spread(s);
-      chips.insert(chips.end(), c.begin(), c.end());
+    case DsssRate::k1Mbps:
+      psdu_chips = spread(dbpsk_encode(psdu_scrambled, enc));
       break;
-    }
-    case DsssRate::k2Mbps: {
-      assert(psdu_scrambled.size() % 2 == 0);
-      DifferentialEncoder enc(header_end_phase);
-      CVec s;
-      for (std::size_t i = 0; i + 1 < psdu_scrambled.size(); i += 2) {
-        s.push_back(enc.encode_increment(
-            dqpsk_phase_increment(psdu_scrambled[i], psdu_scrambled[i + 1])));
-      }
-      const CVec c = spread(s);
-      chips.insert(chips.end(), c.begin(), c.end());
+    case DsssRate::k2Mbps:
+      psdu_chips = spread(dqpsk_encode(psdu_scrambled, enc));
       break;
-    }
     case DsssRate::k5_5Mbps:
     case DsssRate::k11Mbps: {
       CckModulator cck(cfg_.rate);
-      cck.reset(header_end_phase);
-      const CVec c = cck.modulate(psdu_scrambled);
-      chips.insert(chips.end(), c.begin(), c.end());
+      cck.reset(enc.phase());
+      psdu_chips = cck.modulate(psdu_scrambled);
       break;
     }
   }
+  chips.insert(chips.end(), psdu_chips.begin(), psdu_chips.end());
 
   DsssFrame out;
   out.psdu_bits = psdu_bits.size();

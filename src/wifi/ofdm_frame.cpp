@@ -86,8 +86,10 @@ CVec build_ofdm_symbol(std::span<const Complex> data48, std::size_t symbol_index
   return out;
 }
 
-CVec extract_ofdm_symbol(std::span<const Complex> samples, std::size_t symbol_index) {
+CVec extract_ofdm_symbol(std::span<const Complex> samples, std::size_t symbol_index,
+                         std::span<const Complex> channel) {
   assert(samples.size() >= kSymbolSamples);
+  assert(channel.size() == kFftSize);
   CVec time(samples.begin() + kCpLen, samples.begin() + kSymbolSamples);
   const Real scale = std::sqrt(52.0) / static_cast<Real>(kFftSize);
   for (Complex& v : time) v *= scale;
@@ -97,6 +99,10 @@ CVec extract_ofdm_symbol(std::span<const Complex> samples, std::size_t symbol_in
     return k >= 0 ? static_cast<std::size_t>(k)
                   : static_cast<std::size_t>(64 + k);
   };
+  for (int k = -26; k <= 26; ++k) {
+    const std::size_t b = bin(k);
+    if (std::abs(channel[b]) > 1e-9) freq[b] /= channel[b];
+  }
 
   // Common phase error from pilots.
   const Real pol = pilot_polarity(symbol_index);
@@ -205,32 +211,29 @@ CVec build_signal_symbol(OfdmRate rate, std::size_t psdu_bytes) {
   return build_ofdm_symbol(symbols, 0);
 }
 
-bool parse_signal_symbol(std::span<const Complex> samples, SignalField& out) {
-  const CVec data = extract_ofdm_symbol(samples, 0);
+std::optional<SignalField> parse_signal_symbol(std::span<const Complex> samples,
+                                               std::span<const Complex> channel) {
+  const CVec data = extract_ofdm_symbol(samples, 0, channel);
   const itb::phy::Bits inter = qam_demodulate(data, Modulation::kBpsk);
   const itb::phy::Bits coded = deinterleave(inter, 48, 1);
   const itb::phy::Bits field = viterbi_decode(coded, 24);
 
   unsigned ones = 0;
   for (int i = 0; i < 17; ++i) ones += field[i];
-  if ((ones & 1u) != field[17]) return false;
+  if ((ones & 1u) != field[17]) return std::nullopt;
 
   unsigned rate_bits = 0;
   for (int i = 0; i < 4; ++i) rate_bits = (rate_bits << 1) | field[i];
-  bool found = false;
   for (const auto& p : kRateTable) {
     if (p.signal_rate_bits == rate_bits) {
-      out.rate = p.rate;
-      found = true;
-      break;
+      std::size_t length = 0;
+      for (int i = 0; i < 12; ++i) {
+        length |= static_cast<std::size_t>(field[5 + i]) << i;
+      }
+      return SignalField{p.rate, length};
     }
   }
-  if (!found) return false;
-
-  std::size_t length = 0;
-  for (int i = 0; i < 12; ++i) length |= static_cast<std::size_t>(field[5 + i]) << i;
-  out.length_bytes = length;
-  return true;
+  return std::nullopt;
 }
 
 }  // namespace itb::wifi

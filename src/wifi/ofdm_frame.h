@@ -3,6 +3,7 @@
 #pragma once
 
 #include <array>
+#include <optional>
 
 #include "dsp/types.h"
 #include "phycommon/bits.h"
@@ -51,10 +52,13 @@ itb::dsp::Real pilot_polarity(std::size_t symbol_index);
 itb::dsp::CVec build_ofdm_symbol(std::span<const itb::dsp::Complex> data48,
                                  std::size_t symbol_index);
 
-/// Extracts the 48 data values from a received symbol (no channel equalization
-/// — the simulation channel is flat within a frame; pilots correct phase).
+/// Extracts the 48 data values from a received symbol (CP + 64 samples):
+/// FFT, division of each subcarrier -26..26 by `channel` (64 FFT-bin
+/// estimates; bins of magnitude <= 1e-9 are left undivided), then pilot
+/// common-phase correction for `symbol_index`.
 itb::dsp::CVec extract_ofdm_symbol(std::span<const itb::dsp::Complex> samples,
-                                   std::size_t symbol_index);
+                                   std::size_t symbol_index,
+                                   std::span<const itb::dsp::Complex> channel);
 
 /// 802.11 short training field (10 repetitions, 160 samples total).
 itb::dsp::CVec short_training_field();
@@ -68,12 +72,16 @@ std::array<itb::dsp::Real, 53> ltf_sequence();
 /// SIGNAL field symbol: rate bits + length, BPSK rate-1/2, not scrambled.
 itb::dsp::CVec build_signal_symbol(OfdmRate rate, std::size_t psdu_bytes);
 
-/// Parses a received SIGNAL symbol. Returns false on parity failure.
 struct SignalField {
   OfdmRate rate;
   std::size_t length_bytes;
 };
-bool parse_signal_symbol(std::span<const itb::dsp::Complex> samples,
-                         SignalField& out);
+
+/// Decodes a received SIGNAL symbol equalized by `channel` (as in
+/// extract_ofdm_symbol). nullopt when the parity check fails or the RATE
+/// bits name no rate.
+std::optional<SignalField> parse_signal_symbol(
+    std::span<const itb::dsp::Complex> samples,
+    std::span<const itb::dsp::Complex> channel);
 
 }  // namespace itb::wifi

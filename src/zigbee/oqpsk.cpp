@@ -96,28 +96,12 @@ CVec OqpskModulator::modulate_bytes(const Bytes& bytes) const {
 
 OqpskDemodulator::OqpskDemodulator(const OqpskConfig& cfg) : cfg_(cfg) {}
 
-Bits OqpskDemodulator::demodulate_chips(const CVec& samples,
-                                        std::size_t offset_samples) const {
-  const std::size_t spc = cfg_.samples_per_chip;
-  Bits chips;
-  // Sample each branch at its pulse peak: I chips peak at start + spc,
-  // Q chips at start + 2*spc (centre of the half-sine).
-  for (std::size_t k = 0;; ++k) {
-    const bool is_q = (k % 2) == 1;
-    const std::size_t centre =
-        offset_samples + (k / 2) * 2 * spc + (is_q ? spc : 0) + spc;
-    if (centre >= samples.size()) break;
-    const Real v = is_q ? samples[centre].imag() : samples[centre].real();
-    chips.push_back(v > 0.0 ? 1 : 0);
-  }
-  return chips;
-}
-
 CVec OqpskDemodulator::soft_chips(const CVec& samples,
                                   std::size_t offset_samples) const {
   const std::size_t spc = cfg_.samples_per_chip;
   CVec chips;
-  // Same peak positions as demodulate_chips, but keep the full complex
+  // Sample each branch at its pulse peak: I chips peak at start + spc, Q
+  // chips at start + 2*spc (centre of the half-sine). Keep the full complex
   // sample: at a branch peak the other branch's half-sine crosses zero, so
   // the sample is the chip value rotated by whatever the carrier did.
   for (std::size_t k = 0;; ++k) {
@@ -188,34 +172,6 @@ Bytes OqpskDemodulator::soft_chips_to_bytes(const CVec& soft,
       for (unsigned cand = 0; cand < 16; ++cand) {
         if (metric[cand] > best_metric) {
           best_metric = metric[cand];
-          best_sym = cand;
-        }
-      }
-      byte |= static_cast<std::uint8_t>(nib == 0 ? best_sym : best_sym << 4);
-    }
-    out.push_back(byte);
-  }
-  return out;
-}
-
-Bytes OqpskDemodulator::chips_to_bytes(const Bits& chips) const {
-  const std::size_t nsym = chips.size() / kChipsPerSymbol;
-  Bytes out;
-  for (std::size_t s = 0; s + 1 < nsym + 1; s += 2) {
-    std::uint8_t byte = 0;
-    for (unsigned nib = 0; nib < 2; ++nib) {
-      if (s + nib >= nsym) break;
-      const std::size_t at = (s + nib) * kChipsPerSymbol;
-      unsigned best_sym = 0;
-      std::size_t best_dist = kChipsPerSymbol + 1;
-      for (unsigned cand = 0; cand < 16; ++cand) {
-        const std::uint32_t pattern = chip_table()[cand];
-        std::size_t dist = 0;
-        for (std::size_t c = 0; c < kChipsPerSymbol; ++c) {
-          dist += (chips[at + c] != ((pattern >> c) & 1));
-        }
-        if (dist < best_dist) {
-          best_dist = dist;
           best_sym = cand;
         }
       }

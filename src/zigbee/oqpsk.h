@@ -57,23 +57,16 @@ class OqpskModulator {
 };
 
 /// Chip-correlation demodulator: recovers symbols by correlating received
-/// chips against the 16 PN sequences (soft chip values, hard decisions).
+/// soft chips against the 16 PN sequences.
 class OqpskDemodulator {
  public:
   explicit OqpskDemodulator(const OqpskConfig& cfg = {});
 
-  /// Demodulates baseband to hard chip decisions. `offset_samples` points at
-  /// the first sample of chip 0.
-  Bits demodulate_chips(const CVec& samples, std::size_t offset_samples = 0) const;
-
-  /// Maps 32-chip blocks to the best-matching symbols (0..15) and packs
-  /// nibbles into bytes (low nibble first).
-  Bytes chips_to_bytes(const Bits& chips) const;
-
   /// Complex chip samples at the branch pulse peaks (I chips on the real
-  /// axis, Q chips on the imaginary axis when on-channel). A carrier phase
-  /// or frequency offset rotates these samples instead of destroying them,
-  /// which is what the noncoherent detector below exploits.
+  /// axis, Q chips on the imaginary axis when on-channel). `offset_samples`
+  /// points at the first sample of chip 0. A carrier phase or frequency
+  /// offset rotates these samples instead of destroying them, which is what
+  /// the noncoherent detector below exploits.
   CVec soft_chips(const CVec& samples, std::size_t offset_samples = 0) const;
 
   /// Symbol detection over soft chips: correlates each 32-chip symbol
@@ -81,9 +74,9 @@ class OqpskDemodulator {
   /// chips, combining adjacent blocks differentially (DPDI). Invariant to a
   /// common phase rotation and tolerant of CFO up to ~a quarter turn per
   /// sub-block step (~+-100 kHz at the default block of 4 chips = 2 us) —
-  /// the low-power-tag regime where the hard-decision path loses every
-  /// chip — while still penalizing phase discontinuities from corrupted
-  /// chips.
+  /// the low-power-tag regime, where hard decisions on the I/Q axes would
+  /// lose every chip — while still penalizing phase discontinuities from
+  /// corrupted chips. Packs nibbles into bytes, low nibble first.
   Bytes soft_chips_to_bytes(const CVec& soft, std::size_t block_chips = 4) const;
 
  private:

@@ -38,8 +38,6 @@ TEST(Impedance, LoadImpedances) {
   EXPECT_NEAR(ind.impedance(f).imag(), 30.7, 0.3);
   const Load open{LoadKind::kOpen, 0.0};
   EXPECT_GT(std::abs(open.impedance(f)), 1e9);
-  const Load sh{LoadKind::kShort, 0.0};
-  EXPECT_NEAR(std::abs(sh.impedance(f)), 0.0, 1e-12);
 }
 
 TEST(Impedance, ReactiveLoadsGiveUnitMagnitudeGamma) {
@@ -72,18 +70,6 @@ TEST(Impedance, IdealNetworkIsExactQpsk) {
     Real ang = std::arg(n.gamma(i));
     Real diff = std::remainder(ang - expect, itb::dsp::kTwoPi);
     EXPECT_NEAR(diff, 0.0, 1e-6) << "state " << i;
-  }
-}
-
-TEST(Impedance, RetunedNetworkHandlesComplexAntenna) {
-  // The contact-lens loop is not 50 ohms; re-tuning must still produce four
-  // well-separated phases.
-  const ImpedanceNetwork n = retuned_network({20.0, 35.0});
-  const auto g = n.gammas();
-  for (std::size_t i = 0; i < 4; ++i) {
-    for (std::size_t j = i + 1; j < 4; ++j) {
-      EXPECT_GT(std::abs(std::arg(g[i] * std::conj(g[j]))), 0.6);
-    }
   }
 }
 
@@ -532,9 +518,7 @@ TEST(Tag, DetectsPayloadStartFromEnvelope) {
 // --- IC power model (paper §3) ----------------------------------------------------------
 
 TEST(IcPower, PaperReferencePoint) {
-  const IcPowerModel model;
-  const PowerBreakdown p =
-      model.active_power(itb::wifi::DsssRate::k2Mbps, 35.75e6);
+  const PowerBreakdown p = active_power(itb::wifi::DsssRate::k2Mbps, 35.75e6);
   EXPECT_NEAR(p.synthesizer_uw, 9.69, 0.01);
   EXPECT_NEAR(p.baseband_uw, 8.51, 0.01);
   EXPECT_NEAR(p.modulator_uw, 9.79, 0.01);
@@ -542,29 +526,25 @@ TEST(IcPower, PaperReferencePoint) {
 }
 
 TEST(IcPower, HigherRateCostsMore) {
-  const IcPowerModel model;
-  const Real p2 = model.active_power(itb::wifi::DsssRate::k2Mbps, 35.75e6).total_uw();
-  const Real p11 = model.active_power(itb::wifi::DsssRate::k11Mbps, 35.75e6).total_uw();
+  const Real p2 = active_power(itb::wifi::DsssRate::k2Mbps, 35.75e6).total_uw();
+  const Real p11 = active_power(itb::wifi::DsssRate::k11Mbps, 35.75e6).total_uw();
   EXPECT_GT(p11, p2);
   EXPECT_LT(p11, 2.0 * p2);
 }
 
 TEST(IcPower, EnergyPerBitFallsWithRate) {
-  const IcPowerModel model;
-  EXPECT_GT(model.energy_per_bit_pj(itb::wifi::DsssRate::k2Mbps, 35.75e6),
-            model.energy_per_bit_pj(itb::wifi::DsssRate::k11Mbps, 35.75e6));
+  EXPECT_GT(energy_per_bit_pj(itb::wifi::DsssRate::k2Mbps, 35.75e6),
+            energy_per_bit_pj(itb::wifi::DsssRate::k11Mbps, 35.75e6));
 }
 
 TEST(IcPower, DutyCyclingSavesPower) {
-  const IcPowerModel model;
-  const Real always = model.average_power_uw(itb::wifi::DsssRate::k2Mbps, 35.75e6, 1.0);
-  const Real rare = model.average_power_uw(itb::wifi::DsssRate::k2Mbps, 35.75e6, 0.01);
+  const Real always = average_power_uw(itb::wifi::DsssRate::k2Mbps, 35.75e6, 1.0);
+  const Real rare = average_power_uw(itb::wifi::DsssRate::k2Mbps, 35.75e6, 0.01);
   EXPECT_LT(rare, always / 10.0);
 }
 
 TEST(IcPower, OrdersOfMagnitudeBelowActiveRadios) {
-  const IcPowerModel model;
-  const Real tag = model.active_power(itb::wifi::DsssRate::k2Mbps, 35.75e6).total_uw();
+  const Real tag = active_power(itb::wifi::DsssRate::k2Mbps, 35.75e6).total_uw();
   for (const auto& ref : active_radio_references()) {
     if (ref.name.find("Interscatter") != std::string::npos) continue;
     if (ref.name.find("Passive") != std::string::npos) continue;

@@ -249,13 +249,6 @@ TEST(Fir, FilterSamePreservesLength) {
   EXPECT_NEAR(y[50].real(), 1.0, 1e-9);
 }
 
-TEST(Fir, SinglePoleStepResponseConverges) {
-  RVec x(200, 1.0);
-  const RVec y = single_pole_lowpass(x, 0.1);
-  EXPECT_NEAR(y.back(), 1.0, 1e-6);
-  EXPECT_LE(y[1], 1.0);
-}
-
 TEST(Fir, OverlapSaveMatchesDirectComplex) {
   Xoshiro256 rng(501);
   const std::vector<std::pair<std::size_t, std::size_t>> cases{
@@ -338,7 +331,8 @@ TEST(Ola, SingleBlockAndMultiBlockAgree) {
 
 TEST(Mixer, NcoFrequencyAccuracy) {
   Nco nco(1000.0, 8000.0);
-  const CVec s = nco.generate(9);
+  CVec s(9);
+  for (Complex& v : s) v = nco.next();
   // The first sample is at phase 0; each subsequent sample advances 1/8 turn.
   EXPECT_NEAR(s[0].real(), 1.0, 1e-12);
   EXPECT_NEAR(s[1].real(), std::cos(kTwoPi / 8.0), 1e-12);
@@ -346,14 +340,6 @@ TEST(Mixer, NcoFrequencyAccuracy) {
   // After 8 samples the phase has advanced exactly one cycle.
   EXPECT_NEAR(s[8].real(), 1.0, 1e-9);
   EXPECT_NEAR(std::abs(s[7]), 1.0, 1e-12);
-}
-
-TEST(Mixer, FrequencyShiftMovesSpectralPeak) {
-  const Real fs = 1e6;
-  const CVec base = tone(0.0, fs, 4096);
-  const CVec shifted = frequency_shift(base, 100e3, fs);
-  const Psd psd = welch_psd(shifted, fs);
-  EXPECT_NEAR(peak_frequency_hz(psd), 100e3, 2.0 * psd.bin_hz);
 }
 
 TEST(Spectrum, TonePowerMeasurement) {
@@ -429,27 +415,6 @@ TEST(Resample, HoldUpsampleRepeatsValues) {
   EXPECT_EQ(y[3].real(), 2.0);
 }
 
-TEST(Resample, LinearResampleKeepsToneFrequency) {
-  const Real fs_in = 1e6;
-  const Real fs_out = 1.5e6;
-  const CVec x = tone(100e3, fs_in, 8192);
-  const CVec y = resample_linear(x, fs_in, fs_out);
-  const Psd psd = welch_psd(y, fs_out);
-  EXPECT_NEAR(peak_frequency_hz(psd), 100e3, 3.0 * psd.bin_hz);
-}
-
-TEST(Resample, UpsampleDecimateRoundTrip) {
-  const Real fs = 1e6;
-  const CVec x = tone(50e3, fs, 2048);
-  const CVec up = upsample(x, 2);
-  EXPECT_EQ(up.size(), x.size() * 2);
-  const CVec down = decimate(up, 2);
-  // Mid-signal samples should be close to the original.
-  for (std::size_t i = 500; i < 600; ++i) {
-    EXPECT_NEAR(std::abs(down[i]), 1.0, 0.05);
-  }
-}
-
 TEST(Resample, DecimateKeepsTrailingPartialStride) {
   // Regression: decimate used to size its output as n / factor, silently
   // dropping up to factor - 1 trailing samples whenever the input length was
@@ -462,6 +427,16 @@ TEST(Resample, DecimateKeepsTrailingPartialStride) {
   EXPECT_EQ(decimate(x9, 3).size(), 3u);    // exact division unchanged
   const CVec x1(1, Complex{1.0, 0.0});
   EXPECT_EQ(decimate(x1, 8).size(), 1u);    // a lone sample survives
+}
+
+TEST(Resample, DecimateKeepsPassbandTone) {
+  const CVec x = tone(50e3, 1e6, 4096);
+  const CVec down = decimate(x, 2);
+  ASSERT_EQ(down.size(), x.size() / 2);
+  // Away from the filter's edge transients the tone keeps unit amplitude.
+  for (std::size_t i = 500; i < 1500; ++i) {
+    EXPECT_NEAR(std::abs(down[i]), 1.0, 0.05);
+  }
 }
 
 /// What decimate computed before it went polyphase: the whole anti-alias
@@ -540,43 +515,6 @@ TEST(Resample, DecimateZeroFactorThrows) {
   const CVec x(16, Complex{1.0, 0.0});
   EXPECT_THROW(decimate(x, 0), std::invalid_argument);
   EXPECT_THROW(decimate(CVec{}, 0), std::invalid_argument);
-}
-
-TEST(Resample, UpsampleZeroFactorThrows) {
-  const CVec x(16, Complex{1.0, 0.0});
-  EXPECT_THROW(upsample(x, 0), std::invalid_argument);
-}
-
-TEST(Resample, LinearResampleRoundingOvershootStaysInBounds) {
-  // Regression for the resample_linear index clamp. The output length is
-  // floor((n-1)/ratio) + 1 with two roundings (the division, then the
-  // per-sample product i*ratio); this in_rate/out_rate pair makes the
-  // division round UP to an integer, so the final product lands one ulp
-  // past the last input index (pos > n-1). The loop must clamp the derived
-  // index to n-1 and blend the last sample with itself exactly.
-  const Real in_rate = std::nextafter(7.0 / 17.0, 2.0);  // 0.411764705882353..
-  const Real out_rate = 1.0;
-  const std::size_t n = 8;
-  // Confirm this pair actually exercises the overshoot (same arithmetic as
-  // the implementation).
-  const Real ratio = in_rate / out_rate;
-  const auto out_len =
-      static_cast<std::size_t>(std::floor(static_cast<Real>(n - 1) / ratio)) + 1;
-  ASSERT_EQ(out_len, 18u);
-  ASSERT_GT(static_cast<Real>(out_len - 1) * ratio, static_cast<Real>(n - 1));
-
-  CVec x(n);
-  for (std::size_t i = 0; i < n; ++i)
-    x[i] = Complex{static_cast<Real>(i) + 1.0, -static_cast<Real>(i)};
-  const CVec y = resample_linear(x, in_rate, out_rate);
-  ASSERT_EQ(y.size(), out_len);
-  // The overshot final sample must equal x.back() bit-for-bit (frac blends
-  // the clamped sample with itself) and every interior sample stays finite.
-  EXPECT_EQ(y.back().real(), x.back().real());
-  EXPECT_EQ(y.back().imag(), x.back().imag());
-  for (const Complex& v : y) {
-    EXPECT_TRUE(std::isfinite(v.real()) && std::isfinite(v.imag()));
-  }
 }
 
 TEST(Correlate, FindsEmbeddedPattern) {

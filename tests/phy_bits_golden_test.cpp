@@ -526,17 +526,16 @@ TEST(PhyBitsGolden, BlePacketBits) {
 }
 
 TEST(PhyBitsGolden, IcPowerModel) {
-  const backscatter::IcPowerModel model;
   std::vector<Real> out;
   for (const wifi::DsssRate rate :
        {wifi::DsssRate::k1Mbps, wifi::DsssRate::k2Mbps,
         wifi::DsssRate::k5_5Mbps, wifi::DsssRate::k11Mbps}) {
     for (const Real shift : {35.75e6, -22.75e6, 6e6}) {
-      const backscatter::PowerBreakdown p = model.active_power(rate, shift);
+      const backscatter::PowerBreakdown p = backscatter::active_power(rate, shift);
       out.insert(out.end(),
                  {p.synthesizer_uw, p.baseband_uw, p.modulator_uw,
-                  model.average_power_uw(rate, shift, 0.013),
-                  model.energy_per_bit_pj(rate, shift)});
+                  backscatter::average_power_uw(rate, shift, 0.013),
+                  backscatter::energy_per_bit_pj(rate, shift)});
     }
   }
   EXPECT_DIGEST(0x30b796d54319ff14ULL, fnv64(out));

@@ -65,14 +65,16 @@ TEST(Barker, ProcessingGainAgainstNoise) {
 
 TEST(Dpsk, DbpskRoundTrip) {
   const Bits bits = {0, 1, 1, 0, 1, 0, 0, 1};
-  const CVec sym = dbpsk_encode(bits);
+  DifferentialEncoder enc;
+  const CVec sym = dbpsk_encode(bits, enc);
   const Bits out = dbpsk_decode(sym, Complex{1.0, 0.0});
   EXPECT_EQ(out, bits);
 }
 
 TEST(Dpsk, DqpskRoundTrip) {
   const Bits bits = {0, 0, 0, 1, 1, 1, 1, 0, 0, 1, 1, 1};
-  const CVec sym = dqpsk_encode(bits);
+  DifferentialEncoder enc;
+  const CVec sym = dqpsk_encode(bits, enc);
   const Bits out = dqpsk_decode(sym, Complex{1.0, 0.0});
   EXPECT_EQ(out, bits);
 }
@@ -80,7 +82,8 @@ TEST(Dpsk, DqpskRoundTrip) {
 TEST(Dpsk, RotationInvariance) {
   // Differential decoding must ignore a common rotation.
   const Bits bits = {1, 0, 0, 1, 1, 1};
-  CVec sym = dqpsk_encode(bits);
+  DifferentialEncoder enc;
+  CVec sym = dqpsk_encode(bits, enc);
   const Complex rot = std::polar(1.0, 1.234);
   for (auto& s : sym) s *= rot;
   const Bits out = dqpsk_decode(sym, rot);

@@ -238,7 +238,8 @@ TEST(OfdmSymbol, BuildExtractRoundTrip) {
   for (auto& v : data) v = {rng.uniform(-1, 1), rng.uniform(-1, 1)};
   const CVec sym = build_ofdm_symbol(data, 3);
   ASSERT_EQ(sym.size(), kSymbolSamples);
-  const CVec back = extract_ofdm_symbol(sym, 3);
+  const CVec unit_channel(kFftSize, Complex{1.0, 0.0});
+  const CVec back = extract_ofdm_symbol(sym, 3, unit_channel);
   for (std::size_t i = 0; i < kDataCarriers; ++i) {
     EXPECT_NEAR(std::abs(back[i] - data[i]), 0.0, 1e-9) << "carrier " << i;
   }
@@ -294,10 +295,11 @@ TEST(OfdmSymbol, LtfPeriodsIdentical) {
 
 TEST(OfdmSymbol, SignalSymbolRoundTrip) {
   const CVec sym = build_signal_symbol(OfdmRate::k36, 666);
-  SignalField out;
-  ASSERT_TRUE(parse_signal_symbol(sym, out));
-  EXPECT_EQ(out.rate, OfdmRate::k36);
-  EXPECT_EQ(out.length_bytes, 666u);
+  const CVec unit_channel(kFftSize, Complex{1.0, 0.0});
+  const auto out = parse_signal_symbol(sym, unit_channel);
+  ASSERT_TRUE(out.has_value());
+  EXPECT_EQ(out->rate, OfdmRate::k36);
+  EXPECT_EQ(out->length_bytes, 666u);
 }
 
 // --- OFDM TX -> RX -------------------------------------------------------------------
@@ -465,12 +467,12 @@ TEST(AmDownlink, RandomSymbolsKeepHighEnvelope) {
   AmDownlinkEncoder enc(cfg, 3);
   const Bits message = {0, 0};
   const AmFrame frame = enc.encode(message);
-  const auto r = decode_am_envelope(frame.tx.baseband,
-                                    frame.symbol_is_constant.size());
-  // All symbols random -> all envelopes similar.
-  for (std::size_t s = 1; s < r.symbol_envelope.size(); ++s) {
-    EXPECT_GT(r.symbol_envelope[s], 0.4 * r.symbol_envelope[0]);
-  }
+  itb::backscatter::PeakDetectorConfig pdc;
+  pdc.sensitivity_dbm = -90.0;
+  const itb::backscatter::PeakDetector pd(pdc);
+  // All symbols random -> no pair's second symbol reads as a gap.
+  EXPECT_EQ(pd.decode_am(frame.tx.baseband, 400, kSymbolSamples, message.size()),
+            message);
 }
 
 TEST(AmDownlink, EnvelopeDecodeRoundTrip) {
@@ -479,12 +481,11 @@ TEST(AmDownlink, EnvelopeDecodeRoundTrip) {
   AmDownlinkEncoder enc(cfg, 4);
   const Bits message = {1, 0, 1, 1, 0, 0, 1, 0};
   const AmFrame frame = enc.encode(message);
-  const auto r = decode_am_envelope(frame.tx.baseband,
-                                    frame.symbol_is_constant.size());
-  ASSERT_GE(r.bits.size(), message.size());
-  for (std::size_t i = 0; i < message.size(); ++i) {
-    EXPECT_EQ(r.bits[i], message[i]) << "bit " << i;
-  }
+  itb::backscatter::PeakDetectorConfig pdc;
+  pdc.sensitivity_dbm = -90.0;
+  const itb::backscatter::PeakDetector pd(pdc);
+  EXPECT_EQ(pd.decode_am(frame.tx.baseband, 400, kSymbolSamples, message.size()),
+            message);
 }
 
 TEST(AmDownlink, PeakDetectorDecodesMessage) {

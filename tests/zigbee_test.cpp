@@ -64,10 +64,12 @@ TEST(Oqpsk, ChipRoundTrip) {
   Bits chips(256);
   for (auto& c : chips) c = rng.bit();
   const auto samples = mod.modulate_chips(chips);
-  const Bits out = demod.demodulate_chips(samples);
-  ASSERT_GE(out.size(), chips.size());
+  const CVec soft = demod.soft_chips(samples);
+  ASSERT_GE(soft.size(), chips.size());
   for (std::size_t i = 0; i < chips.size(); ++i) {
-    EXPECT_EQ(out[i], chips[i]) << "chip " << i;
+    // Even chips ride on I, odd chips on Q.
+    const Real v = i % 2 == 0 ? soft[i].real() : soft[i].imag();
+    EXPECT_EQ(v > 0.0 ? 1 : 0, chips[i]) << "chip " << i;
   }
 }
 
@@ -76,8 +78,7 @@ TEST(Oqpsk, ByteRoundTripThroughChips) {
   OqpskDemodulator demod;
   const Bytes payload = {0x00, 0xFF, 0xA5, 0x3C, 0x77};
   const auto samples = mod.modulate_bytes(payload);
-  const Bits chips = demod.demodulate_chips(samples);
-  const Bytes out = demod.chips_to_bytes(chips);
+  const Bytes out = demod.soft_chips_to_bytes(demod.soft_chips(samples));
   ASSERT_GE(out.size(), payload.size());
   for (std::size_t i = 0; i < payload.size(); ++i) {
     EXPECT_EQ(out[i], payload[i]) << "byte " << i;
@@ -89,15 +90,15 @@ TEST(Oqpsk, ChipErrorsToleratedBySpreading) {
   OqpskDemodulator demod;
   const Bytes payload = {0x12, 0x34, 0x56};
   const auto samples = mod.modulate_bytes(payload);
-  Bits chips = demod.demodulate_chips(samples);
+  CVec soft = demod.soft_chips(samples);
   // Flip 4 chips in each 32-chip symbol: still decodable (min distance >= 10).
-  for (std::size_t s = 0; s * kChipsPerSymbol + 28 < chips.size(); ++s) {
-    chips[s * kChipsPerSymbol + 3] ^= 1;
-    chips[s * kChipsPerSymbol + 11] ^= 1;
-    chips[s * kChipsPerSymbol + 19] ^= 1;
-    chips[s * kChipsPerSymbol + 27] ^= 1;
+  for (std::size_t s = 0; s * kChipsPerSymbol + 28 < soft.size(); ++s) {
+    soft[s * kChipsPerSymbol + 3] = -soft[s * kChipsPerSymbol + 3];
+    soft[s * kChipsPerSymbol + 11] = -soft[s * kChipsPerSymbol + 11];
+    soft[s * kChipsPerSymbol + 19] = -soft[s * kChipsPerSymbol + 19];
+    soft[s * kChipsPerSymbol + 27] = -soft[s * kChipsPerSymbol + 27];
   }
-  const Bytes out = demod.chips_to_bytes(chips);
+  const Bytes out = demod.soft_chips_to_bytes(soft);
   for (std::size_t i = 0; i < payload.size(); ++i) {
     EXPECT_EQ(out[i], payload[i]);
   }
