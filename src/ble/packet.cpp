@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 #include "phycommon/crc.h"
 #include "phycommon/lfsr.h"
@@ -36,8 +37,12 @@ Bits header_and_payload_bits(AdvPduType type,
 }  // namespace
 
 AdvPacket build_adv_packet(const AdvPacketConfig& cfg, unsigned channel_index) {
-  assert(cfg.payload.size() <= kMaxAdvDataBytes);
-  assert(channel_index < 40);
+  if (cfg.payload.size() > kMaxAdvDataBytes) {
+    throw std::invalid_argument("build_adv_packet: AdvData exceeds 31 bytes");
+  }
+  if (channel_index >= 40) {
+    throw std::invalid_argument("build_adv_packet: channel index must be < 40");
+  }
 
   const Bits pdu_bits = header_and_payload_bits(
       cfg.pdu_type, kAdvertiserAddress, cfg.payload);
@@ -87,9 +92,13 @@ std::optional<ParsedAdv> parse_adv_packet(const Bits& air_bits,
   const auto length = static_cast<std::size_t>(itb::phy::bits_to_uint_lsb_first(
       std::span<const std::uint8_t>(pdu_and_crc).subspan(8, 8)));
 
+  // The PDU must hold AdvA and at most kMaxAdvDataBytes of AdvData.
+  if (length < kAdvertiserAddress.size() ||
+      length > kAdvertiserAddress.size() + kMaxAdvDataBytes) {
+    return std::nullopt;
+  }
   const std::size_t pdu_bits_len = 16 + length * 8;
   if (pdu_and_crc.size() < pdu_bits_len + 24) return std::nullopt;
-  if (length < 6) return std::nullopt;  // must at least hold AdvA
 
   ParsedAdv out;
   out.pdu_type = static_cast<AdvPduType>(hdr_type);
@@ -109,8 +118,12 @@ std::optional<ParsedAdv> parse_adv_packet(const Bits& air_bits,
 }
 
 AdvPacket build_data_packet(const DataPacketConfig& cfg) {
-  assert(cfg.payload.size() <= 255);
-  assert(cfg.channel_index < 37);
+  if (cfg.payload.size() > 255) {
+    throw std::invalid_argument("build_data_packet: payload exceeds 255 bytes");
+  }
+  if (cfg.channel_index >= 37) {
+    throw std::invalid_argument("build_data_packet: channel index must be < 37");
+  }
 
   Bytes pdu;
   pdu.push_back(0x02);  // LLID = start of L2CAP message, NESN/SN/MD = 0

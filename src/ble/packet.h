@@ -61,7 +61,8 @@ struct AdvPacket {
 };
 
 /// Builds the whitened air bits for an advertising packet on the given
-/// channel. Asserts payload fits.
+/// channel. Throws std::invalid_argument when the AdvData exceeds
+/// kMaxAdvDataBytes or the channel index is not below 40.
 AdvPacket build_adv_packet(const AdvPacketConfig& cfg, unsigned channel_index);
 
 /// Result of parsing a received advertising packet.
@@ -74,7 +75,8 @@ struct ParsedAdv {
 
 /// Parses whitened air bits back into a PDU (inverse of build_adv_packet).
 /// `air_bits` must start at the preamble. Returns nullopt if the access
-/// address does not match or lengths are inconsistent.
+/// address does not match, the PDU length is outside 6..37 bytes (AdvA plus
+/// up to kMaxAdvDataBytes) or the air bits end before the CRC.
 std::optional<ParsedAdv> parse_adv_packet(const Bits& air_bits,
                                           unsigned channel_index);
 
@@ -86,6 +88,8 @@ struct DataPacketConfig {
   unsigned channel_index = 0;
 };
 
+/// Throws std::invalid_argument when the payload exceeds 255 bytes or the
+/// channel index is not a data channel (< 37).
 AdvPacket build_data_packet(const DataPacketConfig& cfg);
 
 }  // namespace itb::ble

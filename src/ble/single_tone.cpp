@@ -1,6 +1,6 @@
 #include "ble/single_tone.h"
 
-#include <cassert>
+#include <stdexcept>
 
 #include "phycommon/lfsr.h"
 
@@ -11,7 +11,12 @@ using itb::phy::Bits;
 
 Bytes single_tone_payload(unsigned channel_index, ToneSign sign,
                           std::size_t payload_bytes) {
-  assert(payload_bytes <= kMaxAdvDataBytes);
+  if (payload_bytes > kMaxAdvDataBytes) {
+    throw std::invalid_argument("single_tone_payload: AdvData exceeds 31 bytes");
+  }
+  if (channel_index >= 40) {
+    throw std::invalid_argument("single_tone_payload: channel index must be < 40");
+  }
   // Whitening starts at the PDU header. AdvData begins after header (16 bits)
   // + AdvA (48 bits) = 64 whitened bits.
   constexpr std::size_t payload_offset_bits = 16 + kAdvertiserAddress.size() * 8;

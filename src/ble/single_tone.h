@@ -41,11 +41,14 @@ struct SingleToneResult {
 
 /// Computes the AdvData payload whose whitened air bits are constant, builds
 /// the packet (a default AdvPacketConfig around it), and reports the
-/// constant-tone window.
+/// constant-tone window. Throws std::invalid_argument as
+/// single_tone_payload does.
 SingleToneResult make_single_tone_packet(const SingleToneSpec& spec);
 
 /// Convenience: returns just the payload bytes an application would hand to
 /// the advertising API (e.g. over the Android AdvertiseData interface).
+/// Throws std::invalid_argument when `payload_bytes` exceeds
+/// kMaxAdvDataBytes or the channel index is not below 40.
 Bytes single_tone_payload(unsigned channel_index, ToneSign sign,
                           std::size_t payload_bytes);
 

@@ -2,7 +2,10 @@
 // single-tone payload solver (paper §2.2) and device profiles.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstdint>
+#include <stdexcept>
 
 #include "ble/channel_map.h"
 #include "ble/device_profile.h"
@@ -11,6 +14,9 @@
 #include "ble/single_tone.h"
 #include "dsp/spectrum.h"
 #include "dsp/units.h"
+#include "phycommon/bits.h"
+#include "phycommon/crc.h"
+#include "phycommon/lfsr.h"
 
 namespace itb::ble {
 namespace {
@@ -127,6 +133,51 @@ TEST(AdvPacket, WrongAccessAddressRejected) {
   EXPECT_FALSE(parse_adv_packet(pkt.air_bits, 37).has_value());
 }
 
+TEST(AdvPacket, BuildRejectsOversizedPayloadAndBadChannel) {
+  AdvPacketConfig cfg;
+  cfg.payload.assign(kMaxAdvDataBytes + 1, 0x00);
+  EXPECT_THROW((void)build_adv_packet(cfg, 37), std::invalid_argument);
+  cfg.payload.assign(kMaxAdvDataBytes, 0x00);
+  EXPECT_NO_THROW((void)build_adv_packet(cfg, 39));
+  EXPECT_THROW((void)build_adv_packet(cfg, 40), std::invalid_argument);
+}
+
+TEST(AdvPacket, ParseRejectsPduLongerThanSpec) {
+  // Air bits for a PDU of AdvA + `data_bytes`, whitened and CRC'd as a
+  // transmitter would, bypassing build_adv_packet's size check.
+  const auto air_bits = [](std::size_t data_bytes) {
+    Bytes pdu = {static_cast<std::uint8_t>(AdvPduType::kAdvNonconnInd),
+                 static_cast<std::uint8_t>(kAdvertiserAddress.size() + data_bytes)};
+    pdu.insert(pdu.end(), kAdvertiserAddress.begin(), kAdvertiserAddress.end());
+    pdu.resize(pdu.size() + data_bytes, 0x5A);
+    Bits body = itb::phy::bytes_to_bits_lsb_first(pdu);
+    const Bits crc = itb::phy::ble_crc24_bits(body);
+    body.insert(body.end(), crc.begin(), crc.end());
+    Bits air = itb::phy::bytes_to_bits_lsb_first(std::array<std::uint8_t, 1>{kPreambleByte});
+    const Bits aa = itb::phy::uint_to_bits_lsb_first(kAdvAccessAddress, 32);
+    air.insert(air.end(), aa.begin(), aa.end());
+    const Bits whitened = itb::phy::BleWhitener(37).process(body);
+    air.insert(air.end(), whitened.begin(), whitened.end());
+    return air;
+  };
+  const auto longest = parse_adv_packet(air_bits(kMaxAdvDataBytes), 37);
+  ASSERT_TRUE(longest.has_value());
+  EXPECT_TRUE(longest->crc_ok);
+  EXPECT_FALSE(parse_adv_packet(air_bits(kMaxAdvDataBytes + 1), 37).has_value());
+  EXPECT_FALSE(parse_adv_packet(air_bits(40), 37).has_value());
+}
+
+TEST(DataPacket, RejectsOversizedPayloadAndAdvertisingChannel) {
+  DataPacketConfig cfg;
+  cfg.payload.assign(256, 0x00);
+  cfg.channel_index = 9;
+  EXPECT_THROW((void)build_data_packet(cfg), std::invalid_argument);
+  cfg.payload.assign(255, 0x00);
+  EXPECT_NO_THROW((void)build_data_packet(cfg));
+  cfg.channel_index = 37;
+  EXPECT_THROW((void)build_data_packet(cfg), std::invalid_argument);
+}
+
 TEST(DataPacket, LongPayloadExtension) {
   DataPacketConfig cfg;
   cfg.payload.assign(200, 0x77);
@@ -217,6 +268,19 @@ TEST(SingleTone, PacketStillParsesWithValidCrc) {
   ASSERT_TRUE(parsed.has_value());
   EXPECT_TRUE(parsed->crc_ok);
   EXPECT_EQ(parsed->payload, r.payload);
+}
+
+TEST(SingleTone, RejectsOversizedPayloadAndBadChannel) {
+  EXPECT_THROW((void)single_tone_payload(37, ToneSign::kLow, kMaxAdvDataBytes + 1),
+               std::invalid_argument);
+  EXPECT_THROW((void)single_tone_payload(45, ToneSign::kLow, kMaxAdvDataBytes),
+               std::invalid_argument);
+  SingleToneSpec spec;
+  spec.payload_bytes = 40;
+  EXPECT_THROW((void)make_single_tone_packet(spec), std::invalid_argument);
+  spec.payload_bytes = kMaxAdvDataBytes;
+  spec.channel_index = 45;
+  EXPECT_THROW((void)make_single_tone_packet(spec), std::invalid_argument);
 }
 
 TEST(SingleTone, AndroidConstraintShortensTone) {
